@@ -22,6 +22,7 @@ int main() {
   seda::data::WorldFactbookGenerator(options).Populate(&store);
   seda::graph::DataGraph graph(&store);
   graph.ResolveIdRefs();
+  graph.BuildCsr();
   seda::text::InvertedIndex index(&store);
   seda::topk::TopKSearcher searcher(&index, &graph);
 

@@ -40,6 +40,7 @@ int main() {
   // Shared query state for false-positive measurement on the Factbook.
   seda::graph::DataGraph graph(&factbook);
   graph.ResolveIdRefs();
+  graph.BuildCsr();
   seda::text::InvertedIndex index(&factbook);
   seda::topk::TopKSearcher searcher(&index, &graph);
   auto query =

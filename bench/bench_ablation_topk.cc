@@ -22,6 +22,7 @@ int main() {
   options.scale = 0.35;
   seda::data::WorldFactbookGenerator(options).Populate(&store);
   seda::graph::DataGraph graph(&store);
+  graph.BuildCsr();
   seda::text::InvertedIndex index(&store);
   seda::topk::TopKSearcher searcher(&index, &graph);
 

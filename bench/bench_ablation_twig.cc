@@ -35,6 +35,7 @@ int main() {
     options.scale = scale;
     seda::data::WorldFactbookGenerator(options).Populate(&store);
     seda::graph::DataGraph graph(&store);
+    graph.BuildCsr();
     seda::text::InvertedIndex index(&store);
     seda::twig::CompleteResultGenerator generator(&index, &graph);
 

@@ -1,30 +1,35 @@
-// Graph-kernel ablation bench (ROADMAP "CSR graph kernels" item): a
-// hub-heavy corpus — every satellite document's trade_country leaf carries a
-// value edge to the one US name node — is exactly the shape where the legacy
-// hash-map BFS pays O(hub degree) per cross-document connection query. The
-// CSR kernels answer the dominant distance-1/2 hub hops by sorted-row
-// intersection or a 2-hop sketch instead.
+// Graph-kernel bench (ROADMAP "CSR graph kernels" item): a hub-heavy corpus
+// — every satellite document's trade_country leaf carries a value edge to the
+// one US name node — is exactly the shape where a hash-map BFS pays O(hub
+// degree) per cross-document connection query. The CSR kernels answer the
+// dominant distance-1/2 hub hops by sorted-row intersection or a 2-hop
+// sketch instead.
 //
-// Two layers, two gates:
-//  * micro: ConnectionSize({hub, satellite item}) per kernel mode. Gate:
-//    auto (sketch) beats legacy by >= 3x on the budget-off hub workload.
-//  * engine: the cliff query through TopKSearcher per mode. Gates: the
-//    budget-off SearchResponse ranking is byte-identical across legacy and
-//    CSR modes, and the CSR budget-on ranking matches budget-off (under
-//    kAuto, every <=2-hop answer is budget-independent; the legacy engine is
-//    reported, not gated — its budget famously truncates hub answers).
+// Two layers, three gates:
+//  * micro: ConnectionSize({hub, satellite item}) through the reference
+//    hash-map walker (tests/reference/) and through the CSR. Gate: the CSR
+//    beats the reference by >= 3x on the budget-off hub workload.
+//  * engine: the cliff query through TopKSearcher. Gates: the budget-off
+//    ranking is byte-identical to the golden ranking the hash-map engine
+//    produced (bench/graph_kernels_golden.h; checked when the corpus is the
+//    golden's), and the budget-on ranking matches budget-off (every <=2-hop
+//    answer is budget-independent).
 //
 // Writes BENCH_graph.json for CI.
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/csr.h"
 #include "graph/data_graph.h"
+#include "graph_kernels_golden.h"
 #include "query/query.h"
+#include "reference/bfs.h"
 #include "store/document_store.h"
 #include "text/inverted_index.h"
 #include "topk/topk.h"
@@ -32,18 +37,6 @@
 using Clock = std::chrono::steady_clock;
 
 namespace {
-
-struct ModeSpec {
-  const char* name;
-  seda::graph::GraphKernelMode mode;
-};
-
-constexpr ModeSpec kModes[] = {
-    {"legacy", seda::graph::GraphKernelMode::kLegacy},
-    {"csr-bfs", seda::graph::GraphKernelMode::kCsrBfs},
-    {"intersect", seda::graph::GraphKernelMode::kCsrIntersect},
-    {"auto", seda::graph::GraphKernelMode::kAuto},
-};
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -139,21 +132,38 @@ int main(int argc, char** argv) {
               satellites, graph.EdgeCount(), graph.csr()->num_vertices());
   std::printf("--- micro: ConnectionSize({hub, item}) x %d pairs ---\n",
               satellites);
-  std::printf("%-10s | %12s %12s | %12s %12s %12s\n", "mode", "off us/pair",
+  std::printf("%-10s | %12s %12s | %12s %12s %12s\n", "walker", "off us/pair",
               "on us/pair", "bfs_exp", "isect_probe", "sketch_hit");
 
-  // mode -> {budget-off us/pair, budget-on us/pair}
-  double micro_us[std::size(kModes)][2];
-  seda::graph::GraphStats micro_stats[std::size(kModes)];
-  for (size_t m = 0; m < std::size(kModes); ++m) {
-    graph.set_kernel_mode(kModes[m].mode);
+  seda::reference::ReferenceGraph reference(graph);
+  struct Walker {
+    const char* name;
+    std::function<std::optional<size_t>(
+        const std::vector<seda::store::NodeId>&, size_t,
+        seda::graph::GraphStats*)>
+        connection_size;
+  };
+  const Walker walkers[] = {
+      {"reference",
+       [&](const auto& tuple, size_t visits, seda::graph::GraphStats* stats) {
+         return reference.ConnectionSize(tuple, 12, visits, stats);
+       }},
+      {"csr",
+       [&](const auto& tuple, size_t visits, seda::graph::GraphStats* stats) {
+         return graph.ConnectionSize(tuple, 12, visits, stats);
+       }},
+  };
+  // walker -> {budget-off us/pair, budget-on us/pair}
+  double micro_us[std::size(walkers)][2];
+  seda::graph::GraphStats micro_stats[std::size(walkers)];
+  for (size_t w = 0; w < std::size(walkers); ++w) {
     for (int budgeted = 0; budgeted < 2; ++budgeted) {
       size_t max_visits = budgeted ? 64 : 0;
       seda::graph::GraphStats stats;
       // Warm-up pass, then measured passes. Budget-off must always connect;
-      // budgeted legacy/csr-bfs may legitimately give up (the cliff).
+      // the budgeted reference may legitimately give up (the cliff).
       for (const auto& tuple : tuples) {
-        if (!graph.ConnectionSize(tuple, 12, max_visits).has_value() &&
+        if (!walkers[w].connection_size(tuple, max_visits, nullptr) &&
             max_visits == 0) {
           std::fprintf(stderr, "hub pair unexpectedly unconnected\n");
           return 1;
@@ -163,27 +173,26 @@ int main(int argc, char** argv) {
       auto start = Clock::now();
       for (int run = 0; run < kRuns; ++run) {
         for (const auto& tuple : tuples) {
-          graph.ConnectionSize(tuple, 12, max_visits, &stats);
+          walkers[w].connection_size(tuple, max_visits, &stats);
         }
       }
       double us_per_pair =
           std::chrono::duration<double, std::micro>(Clock::now() - start)
               .count() /
           (kRuns * tuples.size());
-      micro_us[m][budgeted] = us_per_pair;
-      if (!budgeted) micro_stats[m] = stats;
+      micro_us[w][budgeted] = us_per_pair;
+      if (!budgeted) micro_stats[w] = stats;
     }
     std::printf("%-10s | %12.3f %12.3f | %12llu %12llu %12llu\n",
-                kModes[m].name, micro_us[m][0], micro_us[m][1],
-                static_cast<unsigned long long>(micro_stats[m].bfs_expansions),
+                walkers[w].name, micro_us[w][0], micro_us[w][1],
+                static_cast<unsigned long long>(micro_stats[w].bfs_expansions),
                 static_cast<unsigned long long>(
-                    micro_stats[m].intersection_probes),
-                static_cast<unsigned long long>(micro_stats[m].sketch_hits));
+                    micro_stats[w].intersection_probes),
+                static_cast<unsigned long long>(micro_stats[w].sketch_hits));
   }
-  double micro_speedup = micro_us[3][0] > 0
-                             ? micro_us[0][0] / micro_us[3][0]
-                             : 0.0;
-  std::printf("micro speedup legacy/auto (budget off): %.2fx\n\n",
+  double micro_speedup =
+      micro_us[1][0] > 0 ? micro_us[0][0] / micro_us[1][0] : 0.0;
+  std::printf("micro speedup reference/csr (budget off): %.2fx\n\n",
               micro_speedup);
 
   // --- engine layer: the cliff query through the full searcher ----------
@@ -194,71 +203,56 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) return 1;
 
   std::printf("--- engine: cliff query, k=5, uncapped hub ---\n");
-  std::printf("%-10s | %10s %10s | %10s %10s\n", "mode", "off ms", "on ms",
-              "tuples", "bfs_exp");
+  std::printf("%-10s | %10s %10s | %10s %10s\n", "budget", "ms", "tuples",
+              "bfs_exp", "sketch_hit");
 
-  // mode x budget -> {ms, fingerprint, stats}
+  // budget -> {ms, fingerprint, stats}
   struct EngineRun {
     double ms = 0;
     std::string fingerprint;
     seda::topk::SearchStats stats;
   };
-  EngineRun runs[std::size(kModes)][2];
-  for (size_t m = 0; m < std::size(kModes); ++m) {
-    graph.set_kernel_mode(kModes[m].mode);
-    for (int budgeted = 0; budgeted < 2; ++budgeted) {
-      seda::topk::TopKOptions options;
-      options.k = 5;
-      options.max_per_doc_per_term = 4;
-      options.max_hub_degree = 0;  // uncapped: exercise the hub
-      // The tuple budget trims in TA order before any kernel runs, so it is
-      // mode-independent — the equivalence gates hold under it, and it keeps
-      // the legacy budget-off run (a full-store BFS flood per tuple) from
-      // taking minutes.
-      options.max_tuples_per_query = 1000;
-      options.max_connect_visits = budgeted ? 64 : 0;
-      EngineRun& run = runs[m][budgeted];
-      auto start = Clock::now();
-      seda::topk::SearchStats stats;
-      auto result = searcher.Search(parsed.value(), options, &stats);
-      if (!result.ok()) {
-        std::fprintf(stderr, "search failed (%s)\n", kModes[m].name);
-        return 1;
-      }
-      run.fingerprint = RankingFingerprint(result.value());
-      run.stats = stats;
-      run.ms = std::chrono::duration<double, std::milli>(Clock::now() - start)
-                   .count();
+  EngineRun runs[2];
+  for (int budgeted = 0; budgeted < 2; ++budgeted) {
+    seda::topk::TopKOptions options;
+    options.k = 5;
+    options.max_per_doc_per_term = 4;
+    options.max_hub_degree = 0;  // uncapped: exercise the hub
+    // The tuple budget trims in TA order before any kernel runs; the golden
+    // ranking was captured under the same budget.
+    options.max_tuples_per_query = 1000;
+    options.max_connect_visits = budgeted ? 64 : 0;
+    EngineRun& run = runs[budgeted];
+    auto start = Clock::now();
+    auto result = searcher.Search(parsed.value(), options, &run.stats);
+    if (!result.ok()) {
+      std::fprintf(stderr, "search failed\n");
+      return 1;
     }
-    std::printf("%-10s | %10.2f %10.2f | %10llu %10llu\n", kModes[m].name,
-                runs[m][0].ms, runs[m][1].ms,
-                static_cast<unsigned long long>(runs[m][0].stats.tuples_scored),
-                static_cast<unsigned long long>(
-                    runs[m][0].stats.bfs_expansions));
+    run.ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+    run.fingerprint = RankingFingerprint(result.value());
+    std::printf("%-10s | %10.2f %10llu | %10llu %10llu\n",
+                budgeted ? "on" : "off", run.ms,
+                static_cast<unsigned long long>(run.stats.tuples_scored),
+                static_cast<unsigned long long>(run.stats.bfs_expansions),
+                static_cast<unsigned long long>(run.stats.sketch_hits));
   }
 
   // Gates.
   bool micro_ok = micro_speedup >= 3.0;
-  bool equivalence_ok = true;
-  for (size_t m = 1; m < std::size(kModes); ++m) {
-    if (runs[m][0].fingerprint != runs[0][0].fingerprint) {
-      equivalence_ok = false;
-      std::printf("FAIL: budget-off ranking of %s differs from legacy\n",
-                  kModes[m].name);
-    }
-  }
-  // kAuto (and kCsrIntersect) budget-on must equal budget-off: distance <= 2
-  // hub hops no longer depend on the visit budget.
-  bool budget_ok = runs[3][1].fingerprint == runs[3][0].fingerprint &&
-                   runs[2][1].fingerprint == runs[2][0].fingerprint;
-  bool legacy_budget_differs = runs[0][1].fingerprint != runs[0][0].fingerprint;
+  const bool golden_applies = satellites == kGoldenSatellites;
+  bool golden_ok =
+      !golden_applies || runs[0].fingerprint == kGoldenCliffRanking;
+  // Budget-on must equal budget-off: distance <= 2 hub hops do not depend on
+  // the visit budget.
+  bool budget_ok = runs[1].fingerprint == runs[0].fingerprint;
 
-  std::printf("\nbudget-off rankings identical across modes: %s\n",
-              equivalence_ok ? "YES" : "NO");
-  std::printf("csr budget-on ranking == budget-off: %s\n",
+  std::printf("\nbudget-off ranking == golden hash-map ranking: %s\n",
+              golden_applies ? (golden_ok ? "YES" : "NO")
+                             : "n/a (corpus differs from the golden's)");
+  std::printf("budget-on ranking == budget-off: %s\n",
               budget_ok ? "YES" : "NO");
-  std::printf("legacy budget-on ranking drifts (reported, not gated): %s\n",
-              legacy_budget_differs ? "yes" : "no");
   std::printf("micro speedup >= 3x: %s\n", micro_ok ? "YES" : "NO");
 
   FILE* json = std::fopen(out_path.c_str(), "w");
@@ -269,33 +263,31 @@ int main(int argc, char** argv) {
   std::fprintf(json,
                "{\n  \"bench\": \"graph_kernels\",\n  \"scale\": %.4f,\n"
                "  \"satellites\": %d,\n  \"vertices\": %u,\n"
-               "  \"micro_speedup_legacy_over_auto\": %.3f,\n"
-               "  \"modes\": [\n",
+               "  \"micro_speedup_reference_over_csr\": %.3f,\n"
+               "  \"walkers\": [\n",
                scale, satellites, graph.csr()->num_vertices(), micro_speedup);
-  for (size_t m = 0; m < std::size(kModes); ++m) {
+  for (size_t w = 0; w < std::size(walkers); ++w) {
     std::fprintf(
         json,
-        "    {\"mode\": \"%s\", \"micro_us_per_pair_off\": %.4f, "
-        "\"micro_us_per_pair_on\": %.4f, \"engine_ms_off\": %.4f, "
-        "\"engine_ms_on\": %.4f, \"bfs_expansions\": %llu, "
+        "    {\"walker\": \"%s\", \"micro_us_per_pair_off\": %.4f, "
+        "\"micro_us_per_pair_on\": %.4f, \"bfs_expansions\": %llu, "
         "\"intersection_probes\": %llu, \"sketch_hits\": %llu}%s\n",
-        JsonEscape(kModes[m].name).c_str(), micro_us[m][0], micro_us[m][1],
-        runs[m][0].ms, runs[m][1].ms,
-        static_cast<unsigned long long>(micro_stats[m].bfs_expansions),
-        static_cast<unsigned long long>(micro_stats[m].intersection_probes),
-        static_cast<unsigned long long>(micro_stats[m].sketch_hits),
-        m + 1 < std::size(kModes) ? "," : "");
+        JsonEscape(walkers[w].name).c_str(), micro_us[w][0], micro_us[w][1],
+        static_cast<unsigned long long>(micro_stats[w].bfs_expansions),
+        static_cast<unsigned long long>(micro_stats[w].intersection_probes),
+        static_cast<unsigned long long>(micro_stats[w].sketch_hits),
+        w + 1 < std::size(walkers) ? "," : "");
   }
   std::fprintf(json,
-               "  ],\n  \"rankings_identical_budget_off\": %s,\n"
-               "  \"csr_budget_invariant\": %s,\n"
-               "  \"legacy_budget_drifts\": %s,\n"
+               "  ],\n  \"engine_ms_off\": %.4f,\n  \"engine_ms_on\": %.4f,\n"
+               "  \"ranking_matches_golden\": %s,\n"
+               "  \"budget_invariant\": %s,\n"
                "  \"micro_speedup_gate\": %s\n}\n",
-               equivalence_ok ? "true" : "false", budget_ok ? "true" : "false",
-               legacy_budget_differs ? "true" : "false",
-               micro_ok ? "true" : "false");
+               runs[0].ms, runs[1].ms,
+               golden_applies ? (golden_ok ? "true" : "false") : "null",
+               budget_ok ? "true" : "false", micro_ok ? "true" : "false");
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
 
-  return (micro_ok && equivalence_ok && budget_ok) ? 0 : 1;
+  return (micro_ok && golden_ok && budget_ok) ? 0 : 1;
 }

@@ -7,8 +7,8 @@
 // materializes NOT/kAll universes. For every query whose terms would have
 // forced the old engine to materialize the node universe, the cursor
 // postings-advanced counter must be strictly below the old engine's
-// materialized candidate total (computed here via EvaluateNodes, the
-// compatibility shim that still implements one-shot materialization).
+// materialized candidate total (computed here via the materializing reference
+// evaluator in tests/reference/).
 
 #include <chrono>
 #include <cstdio>
@@ -21,6 +21,7 @@
 #include "exec/candidates.h"
 #include "graph/data_graph.h"
 #include "query/query.h"
+#include "reference/evaluate_nodes.h"
 #include "text/inverted_index.h"
 #include "topk/topk.h"
 
@@ -88,9 +89,9 @@ uint64_t UniverseAllocations(const seda::text::TextExpr& e) {
 }
 
 /// The candidate volume the pre-cursor engine materialized: the full (uncapped,
-/// pre-context-filter) EvaluateNodes output per content term, the context's
-/// node occurrences per structure-only term, plus one universe-sized vector
-/// per NOT/kAll intermediate.
+/// pre-context-filter) reference-evaluator output per content term, the
+/// context's node occurrences per structure-only term, plus one
+/// universe-sized vector per NOT/kAll intermediate.
 uint64_t OldMaterializedCandidates(const seda::text::InvertedIndex& index,
                                    const seda::query::Query& query) {
   uint64_t total = 0;
@@ -105,7 +106,7 @@ uint64_t OldMaterializedCandidates(const seda::text::InvertedIndex& index,
       }
       continue;
     }
-    total += index.EvaluateNodes(*term.search).size();
+    total += seda::reference::EvaluateNodes(index, *term.search).size();
     total += UniverseAllocations(*term.search) * index.IndexedNodeCount();
   }
   return total;
@@ -126,6 +127,7 @@ int main(int argc, char** argv) {
   options.scale = scale;
   seda::data::WorldFactbookGenerator(options).Populate(&store);
   seda::graph::DataGraph graph(&store);
+  graph.BuildCsr();
   seda::text::InvertedIndex index(&store);
   seda::topk::TopKSearcher searcher(&index, &graph);
 

@@ -396,31 +396,45 @@ void SnapshotAuditor::AuditGraph(AuditReport* report) const {
     }
   }
 
-  // Every logged edge must appear exactly once in the forward lists under
-  // its source and exactly once in the backward lists under its target.
+  // The adjacency (graph/csr.h), when built: a stale Csr (edges added after
+  // BuildCsr) or a tampered image section would silently change distance
+  // answers and labelled-edge reads otherwise.
+  const graph::Csr* csr = graph_->csr();
+  if (csr == nullptr) return;
+  const uint32_t v_count = csr->num_vertices();
+
+  // graph.adjacency_*: every logged edge must appear exactly once in the
+  // out part of its source's edge-id row and exactly once in the in part of
+  // its target's.
   std::vector<uint32_t> out_seen(edges.size(), 0);
   std::vector<uint32_t> in_seen(edges.size(), 0);
-  graph_->ForEachAdjacency(
-      [&](const store::NodeId& node, bool is_out, uint32_t e) {
-        ++report->checks_run;
-        if (e >= edges.size()) {
-          report->Add("graph.adjacency_bounds",
-                      std::string(is_out ? "out" : "in") + " list of " +
-                          NodeRef(node) + " holds edge index " +
-                          std::to_string(e) + " beyond the log");
-          return;
-        }
-        const store::NodeId& expected = is_out ? edges[e].from : edges[e].to;
-        ++report->checks_run;
-        if (!(expected == node)) {
-          report->Add("graph.adjacency_direction",
-                      std::string(is_out ? "out" : "in") + " list of " +
-                          NodeRef(node) + " holds edge " + std::to_string(e) +
-                          " whose " + (is_out ? "source" : "target") + " is " +
-                          NodeRef(expected));
-        }
-        ++(is_out ? out_seen : in_seen)[e];
-      });
+  for (uint32_t v = 0; v < v_count; ++v) {
+    const store::NodeId node = csr->NodeIdOf(v);
+    const uint32_t* row = csr->EdgeRowBegin(v);
+    const size_t row_size = static_cast<size_t>(csr->EdgeRowEnd(v) - row);
+    for (size_t i = 0; i < row_size; ++i) {
+      const bool is_out = i < csr->OutDegreeOf(v);
+      const uint32_t e = row[i];
+      ++report->checks_run;
+      if (e >= edges.size()) {
+        report->Add("graph.adjacency_bounds",
+                    std::string(is_out ? "out" : "in") + " row of " +
+                        NodeRef(node) + " holds edge index " +
+                        std::to_string(e) + " beyond the log");
+        continue;
+      }
+      const store::NodeId& expected = is_out ? edges[e].from : edges[e].to;
+      ++report->checks_run;
+      if (!(expected == node)) {
+        report->Add("graph.adjacency_direction",
+                    std::string(is_out ? "out" : "in") + " row of " +
+                        NodeRef(node) + " holds edge " + std::to_string(e) +
+                        " whose " + (is_out ? "source" : "target") + " is " +
+                        NodeRef(expected));
+      }
+      ++(is_out ? out_seen : in_seen)[e];
+    }
+  }
   for (size_t e = 0; e < edges.size(); ++e) {
     ++report->checks_run;
     if (out_seen[e] != 1 || in_seen[e] != 1) {
@@ -431,24 +445,19 @@ void SnapshotAuditor::AuditGraph(AuditReport* report) const {
     }
   }
 
-  // CSR kernel layer (graph/csr.h), when built: the arrays must agree
-  // entry-for-entry with the store and the hash-map adjacency they mirror —
-  // a stale Csr (edges added after BuildCsr) or a tampered image section
-  // would silently change distance answers otherwise.
-  const graph::Csr* csr = graph_->csr();
-  if (csr == nullptr) return;
-
   // graph.csr_offsets: vertex numbering covers exactly the non-text nodes,
-  // each legacy-order row replays the ForEachNeighbor walk, and the O(1)
-  // degrees match the hash-map counts.
+  // and each walk-order row equals the row derived here from the store
+  // trees and the edge log — parent, non-text children, far ends of the
+  // out edges, then of the in edges, each in log order — with the O(1)
+  // non-tree degree counting the same edges.
   uint64_t non_text = 0;
   store_->ForEachNode([&](const store::NodeId&, xml::Node* node) {
     if (node->kind() != xml::NodeKind::kText) ++non_text;
   });
   ++report->checks_run;
-  if (csr->num_vertices() != non_text) {
+  if (v_count != non_text) {
     report->Add("graph.csr_offsets",
-                "csr numbers " + std::to_string(csr->num_vertices()) +
+                "csr numbers " + std::to_string(v_count) +
                     " vertices, store holds " + std::to_string(non_text) +
                     " non-text nodes");
   }
@@ -458,35 +467,65 @@ void SnapshotAuditor::AuditGraph(AuditReport* report) const {
                 "csr built over " + std::to_string(csr->edge_count()) +
                     " edges, log holds " + std::to_string(edges.size()));
   }
-  const uint32_t v_count = csr->num_vertices();
+  // (vertex, far end) per edge direction, stably grouped by vertex so each
+  // group keeps log order.
+  std::vector<std::pair<uint32_t, uint32_t>> out_ends;
+  std::vector<std::pair<uint32_t, uint32_t>> in_ends;
+  for (const graph::Edge& edge : edges) {
+    auto from = csr->VertexOf(edge.from);
+    auto to = csr->VertexOf(edge.to);
+    if (!from.has_value() || !to.has_value()) continue;  // edge_endpoints
+    out_ends.emplace_back(*from, *to);
+    in_ends.emplace_back(*to, *from);
+  }
+  auto by_vertex = [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  };
+  std::stable_sort(out_ends.begin(), out_ends.end(), by_vertex);
+  std::stable_sort(in_ends.begin(), in_ends.end(), by_vertex);
+  size_t next_out = 0;
+  size_t next_in = 0;
+  std::vector<uint32_t> expected;
   for (uint32_t v = 0; v < v_count; ++v) {
     const store::NodeId id = csr->NodeIdOf(v);
-    const uint32_t* it = csr->RowBegin(v);
-    const uint32_t* end = csr->RowEnd(v);
-    bool row_ok = true;
-    graph_->ForEachNeighbor(id, [&](const store::NodeId& next) {
-      auto u = csr->VertexOf(next);
-      if (it == end || !u.has_value() || *it != *u) {
-        row_ok = false;
-        return false;
+    expected.clear();
+    bool resolved = true;
+    auto push_tree = [&](const xml::Node* n) {
+      auto u = csr->VertexOf(store::NodeId{id.doc, n->dewey()});
+      resolved = resolved && u.has_value();
+      if (u.has_value()) expected.push_back(*u);
+    };
+    if (const xml::Node* node = store_->GetNode(id); node != nullptr) {
+      if (node->parent() != nullptr) push_tree(node->parent());
+      for (const auto& child : node->children()) {
+        if (child->kind() != xml::NodeKind::kText) push_tree(child.get());
       }
-      ++it;
-      return true;
-    });
-    if (it != end) row_ok = false;
-    ++report->checks_run;
-    if (!row_ok) {
-      report->Add("graph.csr_offsets",
-                  "csr row of " + NodeRef(id) +
-                      " disagrees with the ForEachNeighbor walk");
+    } else {
+      resolved = false;
+    }
+    uint32_t non_tree = 0;
+    for (; next_out < out_ends.size() && out_ends[next_out].first == v;
+         ++next_out, ++non_tree) {
+      expected.push_back(out_ends[next_out].second);
+    }
+    for (; next_in < in_ends.size() && in_ends[next_in].first == v;
+         ++next_in, ++non_tree) {
+      expected.push_back(in_ends[next_in].second);
     }
     ++report->checks_run;
-    if (csr->NonTreeDegreeOf(v) != graph_->Degree(id)) {
+    if (!resolved ||
+        !std::equal(expected.begin(), expected.end(), csr->RowBegin(v),
+                    csr->RowEnd(v))) {
+      report->Add("graph.csr_offsets",
+                  "csr row of " + NodeRef(id) +
+                      " disagrees with the store trees and the edge log");
+    }
+    ++report->checks_run;
+    if (csr->NonTreeDegreeOf(v) != non_tree) {
       report->Add("graph.csr_offsets",
                   "csr non-tree degree of " + NodeRef(id) + " is " +
                       std::to_string(csr->NonTreeDegreeOf(v)) +
-                      ", adjacency maps hold " +
-                      std::to_string(graph_->Degree(id)));
+                      ", the edge log holds " + std::to_string(non_tree));
     }
   }
 

@@ -54,11 +54,12 @@ struct AuditReport {
 ///                path-dictionary statistics, per-document path sets.
 ///   index.*      posting-list order/bounds/path agreement, document
 ///                frequencies, max-tf, path postings, path->nodes table.
-///   graph.*      edge-log index bounds, forward/backward adjacency
-///                symmetry, endpoint resolution; CSR kernel arrays
-///                (graph.csr_offsets: numbering + row-for-row agreement
-///                with the legacy walk, graph.csr_symmetry: sorted-row
-///                symmetry + sketch bitmaps vs exact 2-hop recomputation).
+///   graph.*      endpoint resolution; CSR edge-id rows (bounds, out/in
+///                direction, each logged edge once per direction); CSR
+///                arrays (graph.csr_offsets: numbering + row-for-row
+///                agreement with rows derived from the store trees and the
+///                edge log, graph.csr_symmetry: sorted-row symmetry +
+///                sketch bitmaps vs exact 2-hop recomputation).
 ///   dataguide.*  sorted guide paths, exactly-once member coverage, guide
 ///                path sets covering their members' documents.
 ///   column.*     columnar projections vs a tree-walk recompute

@@ -255,25 +255,20 @@ Result<DataguideCollection> DataguideCollection::LoadFrom(
 
 void DataguideCollection::AddLinksFromGraph(const graph::DataGraph& graph) {
   // Map every non-tree edge to path level, deduplicating per
-  // (guide_a, path_a, guide_b, path_b, label).
+  // (guide_a, path_a, guide_b, path_b, label). Edges arrive grouped by source
+  // node in document order, so the link order is the preorder of sources.
   std::set<std::tuple<size_t, std::string, size_t, std::string, std::string>> seen;
-  const store::DocumentStore& store = *store_;
-  store.ForEachNode([&](const store::NodeId& id, xml::Node* node) {
-    if (node->kind() == xml::NodeKind::kText) return;
-    for (const graph::Edge& edge : graph.NonTreeEdges(id)) {
-      if (!(edge.from == id)) continue;  // visit each edge once, at its source
-      xml::Node* from_node = store.GetNode(edge.from);
-      xml::Node* to_node = store.GetNode(edge.to);
-      if (from_node == nullptr || to_node == nullptr) continue;
-      size_t guide_a = GuideOfDoc(edge.from.doc);
-      size_t guide_b = GuideOfDoc(edge.to.doc);
-      std::string path_a = from_node->ContextPath();
-      std::string path_b = to_node->ContextPath();
-      auto key = std::make_tuple(guide_a, path_a, guide_b, path_b, edge.label);
-      if (!seen.insert(key).second) continue;
-      pending_links_.push_back({guide_a, guide_b, path_a, path_b, edge.label});
-      ++link_count_;
-    }
+  graph.ForEachEdgeBySource([&](const xml::Node* from_node,
+                                const xml::Node* to_node,
+                                const graph::Edge& edge) {
+    size_t guide_a = GuideOfDoc(edge.from.doc);
+    size_t guide_b = GuideOfDoc(edge.to.doc);
+    std::string path_a = from_node->ContextPath();
+    std::string path_b = to_node->ContextPath();
+    auto key = std::make_tuple(guide_a, path_a, guide_b, path_b, edge.label);
+    if (!seen.insert(key).second) return;
+    pending_links_.push_back({guide_a, guide_b, path_a, path_b, edge.label});
+    ++link_count_;
   });
   summary_built_ = false;  // rebuild with links
   connection_cache_.clear();

@@ -15,7 +15,7 @@ using text::NodePosting;
 using text::TextExpr;
 
 /// Sorted-access cursor over one term's posting list. Scores are computed
-/// lazily per posting with the same tf/idf formula EvaluateNodes uses.
+/// lazily per posting with text::TermContentScore.
 class TermCursor final : public MatchCursor {
  public:
   TermCursor(const std::vector<NodePosting>* postings, double idf,
@@ -73,8 +73,7 @@ class TermCursor final : public MatchCursor {
 };
 
 /// Position-intersection cursor for phrase queries: aligns every token's
-/// posting list on one node, then verifies consecutive positions — the
-/// streaming form of the EvaluateNodes kPhrase loop.
+/// posting list on one node, then verifies consecutive positions.
 class PhraseCursor final : public MatchCursor {
  public:
   PhraseCursor(std::vector<const std::vector<NodePosting>*> lists, double score,
@@ -126,10 +125,9 @@ class PhraseCursor final : public MatchCursor {
 
  private:
   /// From the leader's current posting onward, finds the next node where all
-  /// token lists align and the phrase's positions are consecutive. Must stay
-  /// semantically in lockstep with the EvaluateNodes kPhrase loop — the
+  /// token lists align and the phrase's positions are consecutive. The
   /// exec_test equivalence suite (incl. random-expression property tests)
-  /// guards against divergence.
+  /// checks it against the reference evaluator's phrase loop.
   void AdvanceToMatch() {
     const auto& lead = *lists_[0];
     for (; cursor_[0] < lead.size(); ++cursor_[0], ++stats_->postings_advanced) {
@@ -369,7 +367,7 @@ class PathUnionCursor final : public MatchCursor {
 
 /// Conjunction: children are aligned on one node by seeking everyone to the
 /// maximum frontier; the combined score is the sum of the children's scores
-/// (the left-fold of IntersectMatches).
+/// (a left fold over the children).
 class AndCursor final : public MatchCursor {
  public:
   explicit AndCursor(std::vector<std::unique_ptr<MatchCursor>> children)
@@ -435,8 +433,7 @@ class AndCursor final : public MatchCursor {
 };
 
 /// Disjunction: a doc-ordered k-way heap merge. Children positioned on the
-/// same node are combined by summing scores in child order (the left-fold of
-/// UnionMatches).
+/// same node are combined by summing scores in child order (a left fold).
 class OrCursor final : public MatchCursor {
  public:
   explicit OrCursor(std::vector<std::unique_ptr<MatchCursor>> children)

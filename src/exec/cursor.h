@@ -21,9 +21,8 @@ inline constexpr double kStructureOnlyScore = 0.01;
 /// copies them into SearchStats, and the ablation benches report them.
 struct CursorStats {
   /// Posting-list entries (or universe nodes) the cursors stepped over one by
-  /// one. The old EvaluateNodes path materialized every sub-expression, so
-  /// its cost was the sum of all intermediate match-vector sizes; this
-  /// counter is the streaming equivalent.
+  /// one. A materializing evaluator's cost is the sum of all intermediate
+  /// match-vector sizes; this counter is the streaming equivalent.
   uint64_t postings_advanced = 0;
   /// Documents jumped over by Seek() without scanning their postings
   /// (measured as DocId distance at the seek target).
@@ -34,8 +33,9 @@ struct CursorStats {
 /// over posting lists (paper §4: sorted candidate streams consumed lazily).
 ///
 /// Contract: matches are produced in strictly increasing NodeId (document)
-/// order, each node at most once, with exactly the score and path that
-/// InvertedIndex::EvaluateNodes assigns. Cursors never materialize
+/// order, each node at most once, with exactly the score and path that the
+/// materializing reference evaluator assigns (the tests' oracle, checked in
+/// exec_test). Cursors never materialize
 /// sub-expression results; NOT and "*" stream the node universe instead of
 /// allocating it.
 class MatchCursor {
@@ -73,13 +73,12 @@ std::unique_ptr<MatchCursor> BuildCursor(
     const text::InvertedIndex& index, const text::TextExpr& expr,
     const std::unordered_set<store::PathId>* context_filter, CursorStats* stats);
 
-/// Drains a cursor into a vector — the compatibility bridge for callers that
-/// still want EvaluateNodes-shaped output.
+/// Drains a cursor into a vector of matches in document order.
 std::vector<text::NodeMatch> MaterializeCursor(MatchCursor* cursor);
 
-/// Convenience: BuildCursor + MaterializeCursor. Produces exactly the output
-/// of InvertedIndex::EvaluateNodes (optionally context-filtered), without
-/// materializing any sub-expression.
+/// Convenience: BuildCursor + MaterializeCursor — every match of the
+/// expression (optionally context-filtered), without materializing any
+/// sub-expression.
 std::vector<text::NodeMatch> EvaluateWithCursor(
     const text::InvertedIndex& index, const text::TextExpr& expr,
     const std::unordered_set<store::PathId>* context_filter = nullptr,

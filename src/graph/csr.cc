@@ -107,7 +107,9 @@ void Csr::Number(const store::DocumentStore& store) {
 }
 
 std::optional<uint32_t> Csr::VertexOf(const store::NodeId& id) const {
-  if (id.doc + 1 >= doc_base_.size()) return std::nullopt;
+  // No `id.doc + 1`: a doc id of UINT32_MAX (an image edge endpoint, say)
+  // would wrap it to 0.
+  if (id.doc >= doc_base_.size() - 1) return std::nullopt;
   // Vertices of one document are in preorder, which for Dewey IDs is
   // lexicographic order — so the node is findable by binary search without
   // any NodeId hash map.
@@ -139,41 +141,30 @@ bool Csr::BuildAdjacency(const store::DocumentStore& store,
     auto fit = vertex_of_node.find(from);
     auto tit = vertex_of_node.find(to);
     if (fit == vertex_of_node.end() || tit == vertex_of_node.end()) {
-      return false;  // endpoint is a text node: kernels cannot cover it
+      return false;  // endpoint is a text node: it has no vertex
     }
     efrom[e] = fit->second;
     eto[e] = tit->second;
   }
+  BuildEdgeRows(efrom, eto);
 
   // Per-vertex degrees: tree (parent + non-text children) + out + in.
-  std::vector<uint32_t> tree_deg(v_count, 0);
-  for (uint32_t v = 0; v < v_count; ++v) {
-    const xml::Node* n = node_of_[v];
-    uint32_t deg = n->parent() != nullptr ? 1 : 0;
-    for (const auto& child : n->children()) {
-      if (child->kind() != xml::NodeKind::kText) ++deg;
-    }
-    tree_deg[v] = deg;
-  }
-  std::vector<uint32_t> out_deg(v_count, 0);
-  std::vector<uint32_t> in_deg(v_count, 0);
-  for (size_t e = 0; e < edges.size(); ++e) {
-    ++out_deg[efrom[e]];
-    ++in_deg[eto[e]];
-  }
-
+  std::vector<uint32_t> non_tree(v_count);
   std::vector<uint32_t> offsets(v_count + 1, 0);
   for (uint32_t v = 0; v < v_count; ++v) {
-    offsets[v + 1] = offsets[v] + tree_deg[v] + out_deg[v] + in_deg[v];
+    const xml::Node* n = node_of_[v];
+    uint32_t tree = n->parent() != nullptr ? 1 : 0;
+    for (const auto& child : n->children()) {
+      if (child->kind() != xml::NodeKind::kText) ++tree;
+    }
+    non_tree[v] = edge_offsets_[v + 1] - edge_offsets_[v];
+    offsets[v + 1] = offsets[v] + tree + non_tree[v];
   }
   std::vector<uint32_t> adjacency(offsets[v_count]);
 
-  // Row layout [tree][out][in], each region in the legacy walk's order: the
-  // tree part fills here; the out/in parts fill by one pass over the edge
-  // log, which reproduces the per-vertex log order the hash-map adjacency
-  // lists hold (duplicates and self-loop double entries included).
-  std::vector<uint32_t> out_cursor(v_count);
-  std::vector<uint32_t> in_cursor(v_count);
+  // Row layout [tree][out][in]: the tree part in walk order, then the far
+  // ends of the vertex's edge-id row, so each region holds its edges in log
+  // order (duplicates and self-loop double entries included).
   for (uint32_t v = 0; v < v_count; ++v) {
     uint32_t cursor = offsets[v];
     const xml::Node* n = node_of_[v];
@@ -184,20 +175,41 @@ bool Csr::BuildAdjacency(const store::DocumentStore& store,
       if (child->kind() == xml::NodeKind::kText) continue;
       adjacency[cursor++] = vertex_of_node.at(child.get());
     }
-    out_cursor[v] = cursor;
-    in_cursor[v] = cursor + out_deg[v];
-  }
-  for (size_t e = 0; e < edges.size(); ++e) {
-    adjacency[out_cursor[efrom[e]]++] = eto[e];
-    adjacency[in_cursor[eto[e]]++] = efrom[e];
+    for (uint32_t i = edge_offsets_[v]; i < edge_offsets_[v + 1]; ++i) {
+      const uint32_t e = edge_ids_[i];
+      const bool out = i - edge_offsets_[v] < out_degree_[v];
+      adjacency[cursor++] = out ? eto[e] : efrom[e];
+    }
   }
 
   offsets_.Own(std::move(offsets));
   adjacency_.Own(std::move(adjacency));
-  std::vector<uint32_t> degrees(v_count);
-  for (uint32_t v = 0; v < v_count; ++v) degrees[v] = out_deg[v] + in_deg[v];
-  non_tree_degree_.Own(std::move(degrees));
+  non_tree_degree_.Own(std::move(non_tree));
   return true;
+}
+
+void Csr::BuildEdgeRows(const std::vector<uint32_t>& efrom,
+                        const std::vector<uint32_t>& eto) {
+  const uint32_t v_count = num_vertices_;
+  out_degree_.assign(v_count, 0);
+  std::vector<uint32_t> in_degree(v_count, 0);
+  for (size_t e = 0; e < efrom.size(); ++e) {
+    ++out_degree_[efrom[e]];
+    ++in_degree[eto[e]];
+  }
+  edge_offsets_.assign(v_count + 1, 0);
+  std::vector<uint32_t> out_cursor(v_count);
+  std::vector<uint32_t> in_cursor(v_count);
+  for (uint32_t v = 0; v < v_count; ++v) {
+    out_cursor[v] = edge_offsets_[v];
+    in_cursor[v] = edge_offsets_[v] + out_degree_[v];
+    edge_offsets_[v + 1] = in_cursor[v] + in_degree[v];
+  }
+  edge_ids_.assign(edge_offsets_[v_count], 0);
+  for (size_t e = 0; e < efrom.size(); ++e) {
+    edge_ids_[out_cursor[efrom[e]]++] = static_cast<uint32_t>(e);
+    edge_ids_[in_cursor[eto[e]]++] = static_cast<uint32_t>(e);
+  }
 }
 
 void Csr::BuildSorted() {
@@ -354,66 +366,41 @@ bool Csr::RowsIntersect(uint32_t va, uint32_t vb, GraphStats* stats) const {
   return found;
 }
 
-std::optional<bool> Csr::WithinTwo(uint32_t va, uint32_t vb,
-                                   GraphKernelMode mode,
-                                   GraphStats* stats) const {
-  if (mode == GraphKernelMode::kAuto) {
-    // A sketch at either endpoint answers dist<=2 for the pair exactly, in
-    // one bit test — this is what lets hub-mediated tuples score without
-    // touching the hub's (huge) row at all.
-    int si = SketchIndexOf(va);
-    if (si >= 0) {
-      if (stats != nullptr) ++stats->sketch_hits;
-      return SketchCovers(si, vb);
-    }
-    si = SketchIndexOf(vb);
-    if (si >= 0) {
-      if (stats != nullptr) ++stats->sketch_hits;
-      return SketchCovers(si, va);
-    }
+bool Csr::WithinTwo(uint32_t va, uint32_t vb, GraphStats* stats) const {
+  // A sketch at either endpoint answers dist<=2 for the pair exactly, in one
+  // bit test — this is what lets hub-mediated tuples score without touching
+  // the hub's (huge) row at all.
+  int si = SketchIndexOf(va);
+  if (si >= 0) {
+    if (stats != nullptr) ++stats->sketch_hits;
+    return SketchCovers(si, vb);
+  }
+  si = SketchIndexOf(vb);
+  if (si >= 0) {
+    if (stats != nullptr) ++stats->sketch_hits;
+    return SketchCovers(si, va);
   }
   return RowsIntersect(va, vb, stats);
 }
 
-Csr::Distance Csr::ShortestPathLength(const store::NodeId& a,
-                                      const store::NodeId& b, size_t max_depth,
-                                      size_t max_visits, GraphKernelMode mode,
-                                      GraphStats* stats) const {
-  Distance result;
-  auto va = VertexOf(a);
-  auto vb = VertexOf(b);
-  if (!va.has_value() || !vb.has_value()) return result;  // caller falls back
-  result.resolved = true;
-  if (*va == *vb) {
-    result.length = 0;
-    return result;
-  }
-  if (max_depth == 0) return result;
-  const bool fast_paths = mode == GraphKernelMode::kCsrIntersect ||
-                          mode == GraphKernelMode::kAuto;
-  if (fast_paths) {
-    // Distances 1 and 2 are answered exactly, independent of max_visits:
-    // these answers can only differ from the legacy walker where its
-    // exhausted budget under-reported connectivity.
-    if (Adjacent(*va, *vb, stats)) {
-      result.length = 1;
-      return result;
-    }
-    if (max_depth == 1) return result;
-    if (*WithinTwo(*va, *vb, mode, stats)) {
-      result.length = 2;
-      return result;
-    }
-    if (max_depth == 2) return result;
-  }
+std::optional<size_t> Csr::ShortestPathLength(uint32_t va, uint32_t vb,
+                                              size_t max_depth,
+                                              size_t max_visits,
+                                              GraphStats* stats) const {
+  if (va == vb) return 0;
+  if (max_depth == 0) return std::nullopt;
+  // Distances 1 and 2 are answered exactly, independent of max_visits.
+  if (Adjacent(va, vb, stats)) return 1;
+  if (max_depth == 1) return std::nullopt;
+  if (WithinTwo(va, vb, stats)) return 2;
+  if (max_depth == 2) return std::nullopt;
 
-  // Budgeted frontier BFS over the arrays, with the legacy walker's exact
-  // accounting (depth test, then budget test, then expand; found when the
-  // target is *added*), so results — including budget-truncated ones — are
-  // byte-identical to the hash-map walk.
+  // Budgeted frontier BFS over the walk-order rows (depth test, then budget
+  // test, then expand; found when the target is *added*).
+  std::optional<size_t> result;
   Scratch& s = AcquireScratch(this, num_vertices_);
-  s.frontier.emplace_back(*va, 0);
-  s.visited_gen[*va] = s.generation;
+  s.frontier.emplace_back(va, 0);
+  s.visited_gen[va] = s.generation;
   size_t visited = 1;
   size_t head = 0;
   while (head < s.frontier.size()) {
@@ -421,27 +408,25 @@ Csr::Distance Csr::ShortestPathLength(const store::NodeId& a,
     if (depth >= max_depth) continue;
     if (max_visits > 0 && visited >= max_visits) break;
     if (stats != nullptr) ++stats->bfs_expansions;
-    bool found = false;
     for (const uint32_t* it = RowBegin(v); it != RowEnd(v); ++it) {
       uint32_t u = *it;
       if (s.visited_gen[u] == s.generation) continue;
       s.visited_gen[u] = s.generation;
       ++visited;
-      if (u == *vb) {
-        result.length = depth + 1;
-        found = true;
+      if (u == vb) {
+        result = depth + 1;
         break;
       }
       s.frontier.emplace_back(u, depth + 1);
     }
-    if (found) break;
+    if (result.has_value()) break;
   }
   return result;
 }
 
 std::optional<uint32_t> Csr::DistanceTwoWitness(uint32_t va, uint32_t vb,
                                                 GraphStats* stats) const {
-  // The legacy BFS records as vb's parent the first distinct neighbor w of
+  // The frontier BFS records as vb's parent the first distinct neighbor w of
   // va (in walk order) adjacent to vb: every depth-1 vertex is enqueued
   // before any is expanded, in first-occurrence row order.
   Scratch& s = AcquireScratch(this, num_vertices_);
@@ -457,44 +442,26 @@ std::optional<uint32_t> Csr::DistanceTwoWitness(uint32_t va, uint32_t vb,
   return std::nullopt;
 }
 
-Csr::Path Csr::ShortestPath(const store::NodeId& a, const store::NodeId& b,
-                            size_t max_depth, size_t max_visits,
-                            GraphKernelMode mode, GraphStats* stats) const {
-  Path result;
-  auto va = VertexOf(a);
-  auto vb = VertexOf(b);
-  if (!va.has_value() || !vb.has_value()) return result;
-  result.resolved = true;
-  if (*va == *vb) {
-    result.nodes = {a};
-    return result;
+std::vector<uint32_t> Csr::ShortestPath(uint32_t va, uint32_t vb,
+                                        size_t max_depth, size_t max_visits,
+                                        GraphStats* stats) const {
+  if (va == vb) return {va};
+  if (max_depth == 0) return {};
+  if (Adjacent(va, vb, stats)) return {va, vb};
+  if (max_depth == 1) return {};
+  if (WithinTwo(va, vb, stats)) {
+    auto witness = DistanceTwoWitness(va, vb, stats);
+    SEDA_DCHECK(witness.has_value())
+        << "distance-2 positive without a common neighbor";
+    if (witness.has_value()) return {va, *witness, vb};
+    return {};  // unreachable; keeps a release build safe
   }
-  if (max_depth == 0) return result;
-  const bool fast_paths = mode == GraphKernelMode::kCsrIntersect ||
-                          mode == GraphKernelMode::kAuto;
-  if (fast_paths) {
-    if (Adjacent(*va, *vb, stats)) {
-      result.nodes = {a, b};
-      return result;
-    }
-    if (max_depth == 1) return result;
-    if (*WithinTwo(*va, *vb, mode, stats)) {
-      auto witness = DistanceTwoWitness(*va, *vb, stats);
-      SEDA_DCHECK(witness.has_value())
-          << "distance-2 positive without a common neighbor";
-      if (witness.has_value()) {
-        result.nodes = {a, NodeIdOf(*witness), b};
-        return result;
-      }
-      return result;  // unreachable; keeps a release build safe
-    }
-    if (max_depth == 2) return result;
-  }
+  if (max_depth == 2) return {};
 
   Scratch& s = AcquireScratch(this, num_vertices_);
-  s.frontier.emplace_back(*va, 0);
-  s.visited_gen[*va] = s.generation;
-  s.parent[*va] = *va;
+  s.frontier.emplace_back(va, 0);
+  s.visited_gen[va] = s.generation;
+  s.parent[va] = va;
   size_t visited = 1;
   size_t head = 0;
   bool found = false;
@@ -509,25 +476,18 @@ Csr::Path Csr::ShortestPath(const store::NodeId& a, const store::NodeId& b,
       s.visited_gen[u] = s.generation;
       s.parent[u] = v;
       ++visited;
-      if (u == *vb) {
+      if (u == vb) {
         found = true;
         break;
       }
       s.frontier.emplace_back(u, depth + 1);
     }
   }
-  if (!found) return result;
-  std::vector<uint32_t> chain{*vb};
-  uint32_t walk = *vb;
-  while (walk != *va) {
-    walk = s.parent[walk];
-    chain.push_back(walk);
-  }
-  result.nodes.reserve(chain.size());
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    result.nodes.push_back(NodeIdOf(*it));
-  }
-  return result;
+  if (!found) return {};
+  std::vector<uint32_t> path{vb};
+  while (path.back() != va) path.push_back(s.parent[path.back()]);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 Status Csr::SaveTo(persist::ImageWriter* writer) const {
@@ -580,6 +540,31 @@ Result<std::unique_ptr<Csr>> Csr::LoadFrom(
     return Status::ParseError("image csr section disagrees with the store");
   }
   SEDA_RETURN_IF_ERROR(csr->Validate(edges));
+
+  // Derive the edge-id rows from the log. Every endpoint must resolve to a
+  // vertex, and the per-vertex out+in counts must equal the section's
+  // non-tree degrees and fit inside each walk-order row.
+  std::vector<uint32_t> efrom(edges.size());
+  std::vector<uint32_t> eto(edges.size());
+  for (size_t e = 0; e < edges.size(); ++e) {
+    auto from = csr->VertexOf(edges[e].from);
+    auto to = csr->VertexOf(edges[e].to);
+    if (!from.has_value() || !to.has_value()) {
+      return Status::ParseError(
+          "image graph edge endpoint does not resolve to a stored node");
+    }
+    efrom[e] = *from;
+    eto[e] = *to;
+  }
+  csr->BuildEdgeRows(efrom, eto);
+  for (uint32_t v = 0; v < csr->num_vertices_; ++v) {
+    const uint32_t degree = csr->edge_offsets_[v + 1] - csr->edge_offsets_[v];
+    if (degree != csr->non_tree_degree_[v] || degree > csr->DegreeOf(v)) {
+      return Status::ParseError(
+          "image csr section malformed: non-tree degree disagrees with the "
+          "edge log");
+    }
+  }
   csr->image_ = std::move(image);
   return csr;
 }
@@ -587,7 +572,7 @@ Result<std::unique_ptr<Csr>> Csr::LoadFrom(
 Status Csr::Validate(const std::vector<Edge>& edges) const {
   // Structural validation before any kernel may run: a hostile image must
   // fail with a clean error, never index out of bounds. The per-entry
-  // content equivalence with the edge log is the auditor's job
+  // content equivalence with the store and edge log is the auditor's job
   // (graph.csr_offsets / graph.csr_symmetry); here we prove memory safety
   // and the counts.
   auto malformed = [](const char* what) {

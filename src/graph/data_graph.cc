@@ -1,8 +1,6 @@
 #include "graph/data_graph.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 #include <utility>
 
 #include "common/strings.h"
@@ -86,10 +84,7 @@ bool DataGraph::BuildCsr(const CsrOptions& options) {
 
 void DataGraph::AddEdge(const store::NodeId& from, const store::NodeId& to,
                         EdgeType type, const std::string& label) {
-  uint32_t index = static_cast<uint32_t>(edges_.size());
   edges_.push_back(Edge{from, to, type, label});
-  out_edges_[from].push_back(index);
-  in_edges_[to].push_back(index);
 }
 
 Status DataGraph::SaveTo(persist::ImageWriter* writer) const {
@@ -150,16 +145,19 @@ Result<std::unique_ptr<DataGraph>> DataGraph::LoadFrom(
         label >= labels.size()) {
       return Status::ParseError("image graph edge record malformed");
     }
-    graph->AddEdge(from, to, static_cast<EdgeType>(type), labels[label]);
+    graph->edges_.push_back(
+        Edge{std::move(from), std::move(to), static_cast<EdgeType>(type),
+             labels[label]});
   }
   SEDA_RETURN_IF_ERROR(cursor.status());
   if (image->HasSection(persist::SectionId::kGraphCsr)) {
     SEDA_ASSIGN_OR_RETURN(graph->csr_,
                           Csr::LoadFrom(image, *store, graph->edges_));
-  } else {
-    // Pre-CSR image: rebuild the kernels from the replayed log, so old
-    // images answer through the same fast paths (no format break).
-    graph->BuildCsr();
+  } else if (!graph->BuildCsr()) {
+    // Pre-CSR image: the adjacency is rebuilt from the log (no format
+    // break), which needs every endpoint to name a stored non-text node.
+    return Status::ParseError(
+        "image graph edge endpoint does not resolve to a stored node");
   }
   return graph;
 }
@@ -278,86 +276,54 @@ size_t DataGraph::AddValueBasedEdges(const std::string& pk_path,
 
 std::vector<Edge> DataGraph::NonTreeEdges(const store::NodeId& node) const {
   std::vector<Edge> out;
-  if (auto it = out_edges_.find(node); it != out_edges_.end()) {
-    for (uint32_t e : it->second) out.push_back(edges_[e]);
-  }
-  if (auto it = in_edges_.find(node); it != in_edges_.end()) {
-    for (uint32_t e : it->second) out.push_back(edges_[e]);
+  auto v = csr_ != nullptr ? csr_->VertexOf(node) : std::nullopt;
+  if (!v.has_value()) return out;
+  for (const uint32_t* e = csr_->EdgeRowBegin(*v); e != csr_->EdgeRowEnd(*v);
+       ++e) {
+    out.push_back(edges_[*e]);
   }
   return out;
+}
+
+void DataGraph::ForEachEdgeBySource(
+    const std::function<void(const xml::Node*, const xml::Node*,
+                             const Edge&)>& fn) const {
+  if (csr_ == nullptr) return;
+  for (uint32_t v = 0; v < csr_->num_vertices(); ++v) {
+    const uint32_t* far = csr_->NonTreeRowBegin(v);
+    const uint32_t* ids = csr_->EdgeRowBegin(v);
+    for (uint32_t i = 0; i < csr_->OutDegreeOf(v); ++i) {
+      fn(csr_->NodeOf(v), csr_->NodeOf(far[i]), edges_[ids[i]]);
+    }
+  }
 }
 
 size_t DataGraph::Degree(const store::NodeId& node) const {
-  size_t degree = 0;
-  if (auto it = out_edges_.find(node); it != out_edges_.end()) {
-    degree += it->second.size();
-  }
-  if (auto it = in_edges_.find(node); it != in_edges_.end()) {
-    degree += it->second.size();
-  }
-  return degree;
+  auto v = csr_ != nullptr ? csr_->VertexOf(node) : std::nullopt;
+  return v.has_value() ? csr_->NonTreeDegreeOf(*v) : 0;
 }
 
-std::vector<store::NodeId> DataGraph::Neighbors(const store::NodeId& node) const {
-  std::vector<store::NodeId> out;
-  ForEachNeighbor(node, [&out](const store::NodeId& next) {
-    out.push_back(next);
-    return true;
-  });
-  return out;
-}
-
-std::optional<size_t> DataGraph::LegacyBfs(const store::NodeId& a,
-                                           const store::NodeId& b,
-                                           size_t max_depth, size_t max_visits,
-                                           std::vector<store::NodeId>* path_out,
-                                           GraphStats* stats) const {
-  if (a == b) {
-    if (path_out != nullptr) *path_out = {a};
-    return 0;
+std::optional<DataGraph::VertexQuery> DataGraph::ToVertices(
+    const store::NodeId& a, const store::NodeId& b, size_t max_depth,
+    size_t max_visits, GraphStats* stats) const {
+  auto to = csr_ != nullptr ? csr_->VertexOf(b) : std::nullopt;
+  if (!to.has_value()) return std::nullopt;  // no CSR, or a text target
+  if (auto from = csr_->VertexOf(a)) {
+    return VertexQuery{*from, *to, max_depth, max_visits, false};
   }
-  std::unordered_map<store::NodeId, store::NodeId, store::NodeIdHasher> parent;
-  std::deque<std::pair<store::NodeId, size_t>> queue;
-  queue.emplace_back(a, 0);
-  parent.emplace(a, a);
-  size_t visited = 1;
-  size_t found_depth = 0;
-  bool found = false;
-  while (!queue.empty() && !found) {
-    auto [current, depth] = queue.front();
-    queue.pop_front();
-    if (depth >= max_depth) continue;
-    // Work budget: a dense value-edge mesh puts the whole collection within
-    // a few hops, so an exhausted budget reads as "not connected" instead of
-    // flooding the store on every call.
-    if (max_visits > 0 && visited >= max_visits) break;
-    if (stats != nullptr) ++stats->bfs_expansions;
-    // Allocation-free neighbor walk (identical visit order to Neighbors()).
-    ForEachNeighbor(current, [&](const store::NodeId& next) {
-      if (parent.count(next)) return true;
-      parent.emplace(next, current);
-      ++visited;
-      if (next == b) {
-        found_depth = depth + 1;
-        found = true;
-        return false;
-      }
-      queue.emplace_back(next, depth + 1);
-      return true;
-    });
+  xml::Node* text = store_->GetNode(a);
+  if (text == nullptr || text->kind() != xml::NodeKind::kText ||
+      text->parent() == nullptr) {
+    return std::nullopt;
   }
-  if (!found) return std::nullopt;
-  if (path_out != nullptr) {
-    std::vector<store::NodeId> path{b};
-    store::NodeId walk = b;
-    while (!(walk == a)) {
-      walk = parent.at(walk);
-      path.push_back(walk);
-    }
-    std::reverse(path.begin(), path.end());
-    *path_out = std::move(path);
-  }
-  return found_depth;
+  // Expanding the text start is one BFS step: depth test, budget test (one
+  // node visited so far), one expansion that visits the parent.
+  if (max_depth == 0 || max_visits == 1) return std::nullopt;
+  if (stats != nullptr) ++stats->bfs_expansions;
+  auto parent = csr_->VertexOf(store::NodeId{a.doc, text->parent()->dewey()});
+  if (!parent.has_value()) return std::nullopt;
+  return VertexQuery{*parent, *to, max_depth - 1,
+                     max_visits == 0 ? 0 : max_visits - 1, true};
 }
 
 std::optional<size_t> DataGraph::ShortestPathLength(const store::NodeId& a,
@@ -365,13 +331,13 @@ std::optional<size_t> DataGraph::ShortestPathLength(const store::NodeId& a,
                                                     size_t max_depth,
                                                     size_t max_visits,
                                                     GraphStats* stats) const {
-  if (csr_ != nullptr && kernel_mode_ != GraphKernelMode::kLegacy) {
-    Csr::Distance result = csr_->ShortestPathLength(a, b, max_depth,
-                                                    max_visits, kernel_mode_,
-                                                    stats);
-    if (result.resolved) return result.length;
-  }
-  return LegacyBfs(a, b, max_depth, max_visits, nullptr, stats);
+  if (a == b) return 0;
+  auto q = ToVertices(a, b, max_depth, max_visits, stats);
+  if (!q.has_value()) return std::nullopt;
+  auto length = csr_->ShortestPathLength(q->from, q->to, q->max_depth,
+                                         q->max_visits, stats);
+  if (!length.has_value()) return std::nullopt;
+  return *length + (q->text_start ? 1 : 0);
 }
 
 std::vector<store::NodeId> DataGraph::ShortestPath(const store::NodeId& a,
@@ -379,13 +345,16 @@ std::vector<store::NodeId> DataGraph::ShortestPath(const store::NodeId& a,
                                                    size_t max_depth,
                                                    size_t max_visits,
                                                    GraphStats* stats) const {
-  if (csr_ != nullptr && kernel_mode_ != GraphKernelMode::kLegacy) {
-    Csr::Path result =
-        csr_->ShortestPath(a, b, max_depth, max_visits, kernel_mode_, stats);
-    if (result.resolved) return std::move(result.nodes);
-  }
+  if (a == b) return {a};
+  auto q = ToVertices(a, b, max_depth, max_visits, stats);
+  if (!q.has_value()) return {};
+  std::vector<uint32_t> vertices = csr_->ShortestPath(
+      q->from, q->to, q->max_depth, q->max_visits, stats);
+  if (vertices.empty()) return {};
   std::vector<store::NodeId> path;
-  LegacyBfs(a, b, max_depth, max_visits, &path, stats);
+  path.reserve(vertices.size() + 1);
+  if (q->text_start) path.push_back(a);
+  for (uint32_t v : vertices) path.push_back(csr_->NodeIdOf(v));
   return path;
 }
 

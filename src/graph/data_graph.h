@@ -2,6 +2,7 @@
 #define SEDA_GRAPH_DATA_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,7 +49,7 @@ class Csr;
 /// topk::SearchStats (deterministically: the parallel scoring batch sums
 /// per-tuple counters in enumeration order).
 struct GraphStats {
-  uint64_t bfs_expansions = 0;      ///< nodes expanded by (legacy or CSR) BFS
+  uint64_t bfs_expansions = 0;      ///< nodes expanded by the frontier BFS
   uint64_t intersection_probes = 0; ///< sorted-row elements examined
   uint64_t sketch_hits = 0;         ///< distance queries answered by a sketch
 };
@@ -59,27 +60,22 @@ struct CsrOptions {
   uint32_t sketch_max_count = 8;
 };
 
-/// Which kernel answers distance queries. kAuto is the production setting;
-/// the others exist for the equivalence tests and the bench ablation.
-enum class GraphKernelMode {
-  kAuto,          ///< sketches, then intersection, then budgeted CSR BFS
-  kLegacy,        ///< hash-map ForEachNeighbor BFS (pre-CSR engine)
-  kCsrBfs,        ///< CSR arrays, BFS only (no distance-1/2 fast paths)
-  kCsrIntersect,  ///< CSR + intersection fast paths, no sketches
-};
-
 /// The data graph G(V, E) of an XML collection (paper Definition 2): V is the
 /// set of element/attribute nodes in the DocumentStore; parent/child edges are
 /// implicit in the stored trees, while IDREF, XLink and value-based edges are
-/// materialized in adjacency lists here.
+/// kept in an insertion-order edge log. BuildCsr() turns trees plus log into
+/// the one adjacency every read answers from (graph/csr.h); before it runs,
+/// or when it fails, the graph has no adjacency — reads see no non-tree edge
+/// and connect only a node to itself (ConnectionSize still measures
+/// same-document tuples, which need no search).
 ///
 /// Epoch semantics: a DataGraph is built fresh for every snapshot commit
 /// (core/snapshot.cc) and is the one ingestion stage incremental commits
 /// never extend — a newly committed document can carry the id an older
 /// document's dangling IDREF/XLink points at, and value-based edges can span
 /// epochs, so only a full rescan reproduces a from-scratch build exactly.
-/// After construction the graph is immutable and all read entry points are
-/// const and thread-safe.
+/// After construction (edges resolved, BuildCsr called) the graph is
+/// immutable and all read entry points are const and thread-safe.
 class DataGraph {
  public:
   // Both out of line: csr_ is an incomplete type here.
@@ -88,8 +84,8 @@ class DataGraph {
 
   const store::DocumentStore& store() const { return *store_; }
 
-  /// Adds an explicit non-tree edge (both directions are traversable; the
-  /// reverse direction is kept in a separate adjacency list).
+  /// Appends an explicit non-tree edge to the log (both directions are
+  /// traversable once BuildCsr has run).
   void AddEdge(const store::NodeId& from, const store::NodeId& to, EdgeType type,
                const std::string& label);
 
@@ -115,120 +111,68 @@ class DataGraph {
   size_t AddValueBasedEdges(const std::string& pk_path, const std::string& fk_path,
                             const std::string& label);
 
-  /// Non-tree edges leaving `node` (both stored directions).
+  /// Non-tree edges touching `node`: out edges, then in edges, each in log
+  /// order. Empty for text and nonexistent nodes.
   std::vector<Edge> NonTreeEdges(const store::NodeId& node) const;
 
-  /// Visits the same edges as NonTreeEdges (same order) without
-  /// materializing the vector — the top-k cross-document borrow runs this
-  /// once per candidate, and the Edge copies (two Dewey vectors + a label
-  /// string each) were a measurable share of its time.
-  template <typename Fn>
-  void ForEachNonTreeEdge(const store::NodeId& node, const Fn& fn) const {
-    if (auto it = out_edges_.find(node); it != out_edges_.end()) {
-      for (uint32_t e : it->second) fn(edges_[e]);
-    }
-    if (auto it = in_edges_.find(node); it != in_edges_.end()) {
-      for (uint32_t e : it->second) fn(edges_[e]);
-    }
-  }
+  /// Visits every edge once as fn(from_node, to_node, edge), grouped by
+  /// source in document order and in log order within a source.
+  void ForEachEdgeBySource(
+      const std::function<void(const xml::Node*, const xml::Node*,
+                               const Edge&)>& fn) const;
 
-  /// Non-tree degree of `node` (out + in) without materializing the edges —
-  /// the hub test TopKSearcher's cross-document borrow runs per edge.
+  /// Non-tree degree of `node` (out + in) without materializing the edges.
   size_t Degree(const store::NodeId& node) const;
 
   size_t EdgeCount() const { return edges_.size(); }
 
   /// Every non-tree edge in insertion (document) order — the deterministic
-  /// log persistence replays so a loaded graph's adjacency lists are
+  /// log persistence writes, so a loaded graph's edge-id rows are
   /// byte-identical to the ones the resolve scans built.
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// Builds the CSR kernel layer (graph/csr.h) from the current edge log;
-  /// called once per snapshot commit, after all edges are resolved. Returns
-  /// false (leaving the graph on the legacy walker) when some edge endpoint
-  /// does not resolve to a stored non-text node. Not thread-safe — part of
+  /// Builds the adjacency (graph/csr.h) from the current edge log; called
+  /// once per snapshot commit, after all edges are resolved. Edges added
+  /// later stay invisible to reads until the next call. Returns false
+  /// (leaving the graph without adjacency) when some edge endpoint does not
+  /// resolve to a stored non-text node. Not thread-safe — part of
   /// construction, before the graph is published.
   bool BuildCsr(const CsrOptions& options = {});
   const Csr* csr() const { return csr_.get(); }
 
-  /// Kernel selection for the ablation bench and equivalence tests; queries
-  /// fall back to the legacy walker automatically whenever the CSR layer is
-  /// absent or cannot resolve an endpoint. Set-up time only (not
-  /// thread-safe, not persisted).
-  void set_kernel_mode(GraphKernelMode mode) { kernel_mode_ = mode; }
-  GraphKernelMode kernel_mode() const { return kernel_mode_; }
-
   /// Persistence hooks (src/persist/): writes the edge log with a label
   /// string pool (plus the CSR arrays when built) / reconstructs a graph
-  /// over `store` by replaying the log, mapping the CSR section zero-copy —
+  /// over `store` from the log, mapping the CSR section zero-copy —
   /// `image` is retained by the kernels — or rebuilding it when absent
-  /// (pre-CSR images load unchanged; no format break).
+  /// (pre-CSR images load unchanged; no format break). An edge endpoint
+  /// that does not resolve to a stored non-text node is a ParseError.
   Status SaveTo(persist::ImageWriter* writer) const;
   static Result<std::unique_ptr<DataGraph>> LoadFrom(
       std::shared_ptr<const persist::MappedImage> image,
       const store::DocumentStore* store);
 
-  /// All neighbors of `node`: parent, children, plus non-tree edges.
-  std::vector<store::NodeId> Neighbors(const store::NodeId& node) const;
-
-  /// Visits every neighbor in exactly Neighbors() order without
-  /// materializing the vector — the BFS hot path runs this once per expanded
-  /// node, and on mesh-like graphs the allocation-free walk is what keeps a
-  /// budgeted ShortestPath in the microsecond range. `fn` returns false to
-  /// stop early.
-  template <typename Fn>
-  void ForEachNeighbor(const store::NodeId& node, const Fn& fn) const {
-    xml::Node* n = store_->GetNode(node);
-    if (n == nullptr) return;
-    if (n->parent() != nullptr) {
-      if (!fn(store::NodeId{node.doc, n->parent()->dewey()})) return;
-    }
-    for (const auto& child : n->children()) {
-      if (child->kind() == xml::NodeKind::kText) continue;
-      if (!fn(store::NodeId{node.doc, child->dewey()})) return;
-    }
-    if (auto it = out_edges_.find(node); it != out_edges_.end()) {
-      for (uint32_t e : it->second) {
-        if (!fn(edges_[e].to)) return;
-      }
-    }
-    if (auto it = in_edges_.find(node); it != in_edges_.end()) {
-      for (uint32_t e : it->second) {
-        if (!fn(edges_[e].from)) return;
-      }
-    }
-  }
-
-  /// Audit hook: visits every adjacency-list entry as (node, is_out,
-  /// edge_log_index). The audit layer uses it to prove both maps hold only
-  /// in-bounds indices and that every logged edge appears exactly once per
-  /// direction; it deliberately exposes raw indices (not Edges) so a
-  /// corrupted index is observable instead of crashing inside the walk.
-  template <typename Fn>
-  void ForEachAdjacency(const Fn& fn) const {
-    for (const auto& [node, indices] : out_edges_) {
-      for (uint32_t e : indices) fn(node, true, e);
-    }
-    for (const auto& [node, indices] : in_edges_) {
-      for (uint32_t e : indices) fn(node, false, e);
-    }
-  }
-
   /// Length of the shortest path between two nodes traversing parent/child
-  /// and non-tree edges, bounded by `max_depth` (BFS). nullopt when not
-  /// connected within the bound. `max_visits` (0 = unlimited) additionally
-  /// caps the nodes the BFS may expand: in a collection whose value-edge
-  /// mesh puts everything within a few hops of everything, a depth bound
-  /// alone still floods the whole store per call (the ROADMAP hub cliff), so
-  /// callers scoring many tuples pass a work budget and treat an exhausted
-  /// search as "not connected".
+  /// and non-tree edges, bounded by `max_depth`. nullopt when not connected
+  /// within the bound. `max_visits` (0 = unlimited) additionally caps the
+  /// nodes a BFS beyond distance 2 may expand: in a collection whose
+  /// value-edge mesh puts everything within a few hops of everything, a
+  /// depth bound alone still floods the whole store per call (the ROADMAP
+  /// hub cliff), so callers scoring many tuples pass a work budget and treat
+  /// an exhausted search as "not connected". Distances 1 and 2 are exact
+  /// under any budget (Csr::ShortestPathLength).
+  ///
+  /// Text nodes have no vertex: a text node's one neighbour is its parent
+  /// and no row lists a text node, so a text start answers as one step (and
+  /// one BFS expansion) to its parent plus the parent's answer, and a text
+  /// target is reachable only from itself.
   std::optional<size_t> ShortestPathLength(const store::NodeId& a,
                                            const store::NodeId& b,
                                            size_t max_depth,
                                            size_t max_visits = 0,
                                            GraphStats* stats = nullptr) const;
 
-  /// Shortest path (sequence of nodes, inclusive of endpoints) or empty.
+  /// Shortest path (sequence of nodes, inclusive of endpoints) or empty;
+  /// same rules as ShortestPathLength.
   std::vector<store::NodeId> ShortestPath(const store::NodeId& a,
                                           const store::NodeId& b,
                                           size_t max_depth,
@@ -258,31 +202,29 @@ class DataGraph {
   size_t ResolveIdRefs(const IdTargetMap& targets, ThreadPool* pool);
   size_t ResolveXLinks(const IdTargetMap& targets, ThreadPool* pool);
 
-  /// The one BFS walker behind ShortestPathLength and ShortestPath (their
-  /// bodies had drifted apart): hash-map visited set over ForEachNeighbor.
-  /// Fills `path_out` (endpoints inclusive) when non-null and found. Used
-  /// when no CSR layer exists, when kernel_mode_ is kLegacy, or when an
-  /// endpoint has no vertex.
-  std::optional<size_t> LegacyBfs(const store::NodeId& a,
-                                  const store::NodeId& b, size_t max_depth,
-                                  size_t max_visits,
-                                  std::vector<store::NodeId>* path_out,
-                                  GraphStats* stats) const;
+  /// A distance query mapped onto CSR vertices. A text start becomes its
+  /// parent, with the text step already charged to the bounds and stats.
+  struct VertexQuery {
+    uint32_t from;
+    uint32_t to;
+    size_t max_depth;
+    size_t max_visits;
+    bool text_start;
+  };
+  /// nullopt when no walk can start: no CSR, a target without a vertex, a
+  /// nonexistent start, or a text step that exhausts a bound.
+  std::optional<VertexQuery> ToVertices(const store::NodeId& a,
+                                        const store::NodeId& b,
+                                        size_t max_depth, size_t max_visits,
+                                        GraphStats* stats) const;
 
   const store::DocumentStore* store_;
-  /// Each edge is stored once, in the insertion-order log; the adjacency
-  /// maps hold indices into it (an edge used to be copied into both maps,
-  /// which tripled graph memory and image-load time).
-  std::unordered_map<store::NodeId, std::vector<uint32_t>, store::NodeIdHasher>
-      out_edges_;
-  std::unordered_map<store::NodeId, std::vector<uint32_t>, store::NodeIdHasher>
-      in_edges_;
-  /// Insertion-order log of every AddEdge call (see edges()).
+  /// Insertion-order log of every AddEdge call (see edges()); the CSR's
+  /// edge-id rows index into it.
   std::vector<Edge> edges_;
-  /// CSR kernel layer (graph/csr.h), built at commit / image load; null on a
+  /// The adjacency (graph/csr.h), built at commit / image load; null on a
   /// hand-assembled graph that never called BuildCsr.
   std::unique_ptr<Csr> csr_;
-  GraphKernelMode kernel_mode_ = GraphKernelMode::kAuto;
 };
 
 }  // namespace seda::graph

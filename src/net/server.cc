@@ -163,6 +163,9 @@ void Server::AcceptReady() {
     if (draining_.load(std::memory_order_relaxed) ||
         admission_.OnConnectionOpen() != AdmissionVerdict::kAdmit) {
       // Refused at the door — still a well-formed answer, never a reset.
+      // Counted before the frame goes out, so a client that has read the
+      // refusal always sees it in the stats.
+      stats_.connections_refused.fetch_add(1, std::memory_order_relaxed);
       const std::string payload = RefusalPayload(
           draining_.load(std::memory_order_relaxed)
               ? AdmissionVerdict::kDraining
@@ -172,7 +175,6 @@ void Server::AcceptReady() {
       [[maybe_unused]] ssize_t n =
           send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       close(fd);
-      stats_.connections_refused.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);

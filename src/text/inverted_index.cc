@@ -18,74 +18,6 @@ const std::vector<store::NodeId> InvertedIndex::kEmptyNodes;
 
 namespace {
 
-/// Merge-intersects two document-order match lists, combining scores.
-std::vector<NodeMatch> IntersectMatches(const std::vector<NodeMatch>& a,
-                                        const std::vector<NodeMatch>& b) {
-  std::vector<NodeMatch> out;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].node < b[j].node) {
-      ++i;
-    } else if (b[j].node < a[i].node) {
-      ++j;
-    } else {
-      out.push_back({a[i].node, a[i].path, a[i].score + b[j].score});
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-std::vector<NodeMatch> UnionMatches(const std::vector<NodeMatch>& a,
-                                    const std::vector<NodeMatch>& b) {
-  std::vector<NodeMatch> out;
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j >= b.size() || (i < a.size() && a[i].node < b[j].node)) {
-      out.push_back(a[i++]);
-    } else if (i >= a.size() || b[j].node < a[i].node) {
-      out.push_back(b[j++]);
-    } else {
-      out.push_back({a[i].node, a[i].path, a[i].score + b[j].score});
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-std::vector<NodeMatch> SubtractMatches(const std::vector<NodeMatch>& a,
-                                       const std::vector<NodeMatch>& b) {
-  std::vector<NodeMatch> out;
-  size_t i = 0, j = 0;
-  while (i < a.size()) {
-    while (j < b.size() && b[j].node < a[i].node) ++j;
-    if (j >= b.size() || !(b[j].node == a[i].node)) {
-      out.push_back(a[i]);
-    }
-    ++i;
-  }
-  return out;
-}
-
-/// Complement against the node universe in one streaming pass: every
-/// element/attribute node not present in `excluded` (which must be in
-/// document order) is emitted with score 0. Unlike materializing kAll and
-/// then subtracting, this allocates only the output.
-std::vector<NodeMatch> ComplementMatches(const store::DocumentStore& store,
-                                         const std::vector<NodeMatch>& excluded) {
-  std::vector<NodeMatch> out;
-  size_t j = 0;
-  store.ForEachNode([&](const store::NodeId& id, xml::Node* node) {
-    if (node->kind() == xml::NodeKind::kText) return;
-    while (j < excluded.size() && excluded[j].node < id) ++j;
-    if (j < excluded.size() && excluded[j].node == id) return;
-    out.push_back({id, store.paths().Find(node->ContextPath()), 0.0});
-  });
-  return out;
-}
-
 std::vector<store::PathId> IntersectSorted(const std::vector<store::PathId>& a,
                                            const std::vector<store::PathId>& b) {
   std::vector<store::PathId> out;
@@ -562,123 +494,6 @@ double InvertedIndex::Idf(const std::string& term) const {
   double n = static_cast<double>(store_->DocumentCount());
   double df = static_cast<double>(DocumentFrequency(term));
   return std::log(1.0 + (n + 1.0) / (df + 1.0));
-}
-
-std::vector<NodeMatch> InvertedIndex::EvaluateNodes(const TextExpr& expr) const {
-  switch (expr.kind) {
-    case TextExpr::Kind::kAll: {
-      std::vector<NodeMatch> out;
-      store_->ForEachNode([&](const store::NodeId& id, xml::Node* node) {
-        if (node->kind() == xml::NodeKind::kText) return;
-        store::PathId path = store_->paths().Find(node->ContextPath());
-        out.push_back({id, path, 0.0});
-      });
-      return out;
-    }
-    case TextExpr::Kind::kTerm: {
-      std::vector<NodeMatch> out;
-      double idf = Idf(expr.term);
-      for (const NodePosting& p : Postings(expr.term)) {
-        out.push_back({p.node, p.path, TermContentScore(idf, p.positions.size())});
-      }
-      return out;
-    }
-    case TextExpr::Kind::kPhrase: {
-      // Intersect postings of all phrase tokens per node, then verify
-      // consecutive positions.
-      if (expr.phrase.empty()) return {};
-      std::vector<const std::vector<NodePosting>*> lists;
-      for (const auto& token : expr.phrase) {
-        lists.push_back(&Postings(token));
-        if (lists.back()->empty()) return {};
-      }
-      double score = 0;
-      for (const auto& token : expr.phrase) score += Idf(token);
-      std::vector<NodeMatch> out;
-      std::vector<size_t> cursor(lists.size(), 0);
-      // Advance over the first token's postings; align the rest.
-      for (const NodePosting& first : *lists[0]) {
-        bool aligned = true;
-        std::vector<const NodePosting*> row(lists.size());
-        row[0] = &first;
-        for (size_t t = 1; t < lists.size(); ++t) {
-          auto& list = *lists[t];
-          size_t& c = cursor[t];
-          while (c < list.size() && list[c].node < first.node) ++c;
-          if (c >= list.size() || !(list[c].node == first.node)) {
-            aligned = false;
-            break;
-          }
-          row[t] = &list[c];
-        }
-        if (!aligned) continue;
-        // Check for p with p+t present in each token's positions.
-        bool phrase_found = false;
-        for (uint32_t p0 : first.positions) {
-          bool all = true;
-          for (size_t t = 1; t < row.size(); ++t) {
-            const auto& positions = row[t]->positions;
-            if (!std::binary_search(positions.begin(), positions.end(),
-                                    p0 + static_cast<uint32_t>(t))) {
-              all = false;
-              break;
-            }
-          }
-          if (all) {
-            phrase_found = true;
-            break;
-          }
-        }
-        if (phrase_found) out.push_back({first.node, first.path, score});
-      }
-      return out;
-    }
-    case TextExpr::Kind::kAnd: {
-      std::vector<NodeMatch> positive;
-      bool have_positive = false;
-      std::vector<const TextExpr*> negatives;
-      for (const auto& child : expr.children) {
-        if (child->kind == TextExpr::Kind::kNot) {
-          negatives.push_back(child->children.front().get());
-          continue;
-        }
-        auto matches = EvaluateNodes(*child);
-        if (!have_positive) {
-          positive = std::move(matches);
-          have_positive = true;
-        } else {
-          positive = IntersectMatches(positive, matches);
-        }
-      }
-      if (!have_positive) {
-        // Pure negation: complement the union of the negatives against the
-        // universe in one pass (identical to materializing kAll and
-        // subtracting each negative, minus the universe-sized temporaries).
-        std::vector<NodeMatch> excluded;
-        for (const TextExpr* neg : negatives) {
-          excluded = UnionMatches(excluded, EvaluateNodes(*neg));
-        }
-        return ComplementMatches(*store_, excluded);
-      }
-      for (const TextExpr* neg : negatives) {
-        positive = SubtractMatches(positive, EvaluateNodes(*neg));
-      }
-      return positive;
-    }
-    case TextExpr::Kind::kOr: {
-      std::vector<NodeMatch> out;
-      for (const auto& child : expr.children) {
-        out = UnionMatches(out, EvaluateNodes(*child));
-      }
-      return out;
-    }
-    case TextExpr::Kind::kNot: {
-      // Anti-join against the universe without materializing it twice: the
-      // old universe-then-subtract allocated two universe-sized vectors.
-      return ComplementMatches(*store_, EvaluateNodes(*expr.children.front()));
-    }
-  }
-  return {};
 }
 
 std::vector<store::PathId> InvertedIndex::EvaluatePaths(const TextExpr& expr) const {

@@ -41,9 +41,9 @@ struct NodeMatch {
 };
 
 /// Per-node content score of one term occurrence: idf * (1 + log(1 + tf)).
-/// The single definition shared by EvaluateNodes and the exec cursor layer,
-/// so both assign bit-identical scores. Phrase matches score the sum of
-/// their tokens' Idf() values (tf-independent) in both evaluators.
+/// The single definition the exec cursor layer and the tests' reference
+/// evaluator share, so both assign bit-identical scores. Phrase matches
+/// score the sum of their tokens' Idf() values (tf-independent).
 inline double TermContentScore(double idf, size_t tf) {
   return idf * (1.0 + std::log(1.0 + static_cast<double>(tf)));
 }
@@ -117,18 +117,6 @@ class InvertedIndex {
 
   /// Inverse document frequency with add-one smoothing.
   double Idf(const std::string& term) const;
-
-  /// Evaluates a full-text expression to scored node matches in document
-  /// order. kAll yields every element/attribute node (score 0), so callers
-  /// should constrain kAll terms by context instead when possible.
-  ///
-  /// Compatibility shim: the query engine streams expressions through the
-  /// cursor layer (src/exec/) instead of materializing them here;
-  /// exec::EvaluateWithCursor produces exactly this output. This entry point
-  /// remains for tests and one-shot callers, with NOT/pure-negation rewritten
-  /// as a single-pass anti-join so the node universe is never materialized as
-  /// an intermediate.
-  std::vector<NodeMatch> EvaluateNodes(const TextExpr& expr) const;
 
   /// Evaluates to the distinct set of paths satisfying the expression, using
   /// only the path index (paper §5): terms/phrases intersect or union path

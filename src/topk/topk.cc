@@ -9,6 +9,7 @@
 #include "common/bounded_topn.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "graph/csr.h"
 
 namespace seda::topk {
 
@@ -149,6 +150,7 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
   // country can pair with a Factbook country it references.
   if (options.allow_cross_document && m >= 2) {
     std::vector<std::pair<store::DocId, store::DocId>> doc_links;
+    const graph::Csr* csr = graph_->csr();
     for (auto& [doc, group] : groups) {
       for (size_t t = 0; t < m; ++t) {
         for (const text::NodeMatch* match : group.per_term[t]) {
@@ -157,34 +159,30 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
           // documents — carries almost no connection signal but welds all
           // its documents into one cross product. The candidate's own degree
           // is loop-invariant and, when over the cap, every edge would be
-          // skipped — so check it before materializing the hub's edge list.
-          if (options.max_hub_degree > 0) {
-            size_t degree = graph_->Degree(match->node);
-            if (degree > options.max_hub_degree) {
-              local_stats.hub_links_skipped += degree;
-              continue;
-            }
+          // skipped — so check it before walking the edges.
+          auto v = csr != nullptr ? csr->VertexOf(match->node) : std::nullopt;
+          if (!v.has_value()) continue;
+          const uint32_t degree = csr->NonTreeDegreeOf(*v);
+          if (options.max_hub_degree > 0 && degree > options.max_hub_degree) {
+            local_stats.hub_links_skipped += degree;
+            continue;
           }
-          // Allocation-free edge walk: NonTreeEdges() copied every edge
-          // (two Dewey vectors + a label) per candidate, visible in the
-          // scan profile on link-dense corpora.
-          graph_->ForEachNonTreeEdge(match->node, [&](const graph::Edge& edge) {
+          // The far ends of the candidate's edges are the tail of its row:
+          // their degrees and documents need no per-edge lookup.
+          const uint32_t* far = csr->NonTreeRowBegin(*v);
+          for (uint32_t i = 0; i < degree; ++i) {
             // The hub may also sit on the far side, when the candidate is a
             // low-degree FK leaf pointing at it.
-            if (options.max_hub_degree > 0) {
-              const store::NodeId& far =
-                  edge.from == match->node ? edge.to : edge.from;
-              if (graph_->Degree(far) > options.max_hub_degree) {
-                ++local_stats.hub_links_skipped;
-                return;
-              }
+            if (options.max_hub_degree > 0 &&
+                csr->NonTreeDegreeOf(far[i]) > options.max_hub_degree) {
+              ++local_stats.hub_links_skipped;
+              continue;
             }
-            store::DocId other =
-                edge.from.doc == doc ? edge.to.doc : edge.from.doc;
+            store::DocId other = csr->DocOf(far[i]);
             if (other != doc && groups.count(other)) {
               doc_links.emplace_back(doc, other);
             }
-          });
+          }
         }
       }
     }

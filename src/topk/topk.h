@@ -46,7 +46,7 @@ struct SearchStats {
   uint64_t tuples_trimmed = 0;       ///< tuples skipped by the per-query budget
   // Graph-kernel counters (graph/csr.h), summed over connection scoring in
   // tuple-enumeration order so any worker count reports identical stats:
-  uint64_t bfs_expansions = 0;       ///< nodes expanded by BFS (legacy or CSR)
+  uint64_t bfs_expansions = 0;       ///< nodes expanded by the frontier BFS
   uint64_t intersection_probes = 0;  ///< sorted-row elements examined
   uint64_t sketch_hits = 0;          ///< distance queries answered by a sketch
   // Columnar cube-extraction counters (column/column_store.h; populated by

@@ -19,6 +19,7 @@ class CubeFixture : public ::testing::Test {
   void SetUp() override {
     data::PopulateScenario(&store_);
     graph_ = std::make_unique<graph::DataGraph>(&store_);
+    ASSERT_TRUE(graph_->BuildCsr());
     index_ = std::make_unique<text::InvertedIndex>(&store_);
     generator_ = std::make_unique<twig::CompleteResultGenerator>(index_.get(),
                                                                  graph_.get());

@@ -111,6 +111,7 @@ class ScenarioConnectionTest : public ::testing::Test {
     data::PopulateScenario(&store_);
     graph_ = std::make_unique<graph::DataGraph>(&store_);
     graph_->ResolveIdRefs();
+    ASSERT_TRUE(graph_->BuildCsr());
     DataguideCollection::Options options;
     options.overlap_threshold = 0.4;
     guides_ = std::make_unique<DataguideCollection>(

@@ -95,6 +95,7 @@ std::vector<Corpus> MakeCorpora() {
   for (Corpus& c : corpora) {
     c.graph = std::make_unique<graph::DataGraph>(c.store.get());
     c.graph->ResolveIdRefs();
+    EXPECT_TRUE(c.graph->BuildCsr()) << c.name;
     c.index = std::make_unique<text::InvertedIndex>(c.store.get());
   }
   return corpora;

@@ -11,6 +11,7 @@
 #include "exec/candidates.h"
 #include "exec/cursor.h"
 #include "query/query.h"
+#include "reference/evaluate_nodes.h"
 #include "text/inverted_index.h"
 #include "text/text_expr.h"
 
@@ -67,30 +68,31 @@ TEST_F(CursorTest, MatchesEvaluateNodesOnExpressionPanel) {
   for (const char* text : panel) {
     auto expr = Expr(text);
     ExpectSameMatches(EvaluateWithCursor(*index_, *expr),
-                      index_->EvaluateNodes(*expr), text);
+                      reference::EvaluateNodes(*index_, *expr), text);
   }
 }
 
 // The NOT fix must preserve the original universe-minus-child semantics:
-// compare against a reference computed the old way, from public pieces.
+// compare against an expectation computed the old way, from public pieces.
 TEST_F(CursorTest, NotCursorMatchesOldUniverseSubtraction) {
   auto child = Expr("china");
-  std::vector<NodeMatch> universe = index_->EvaluateNodes(*TextExpr::All());
-  std::vector<NodeMatch> negative = index_->EvaluateNodes(*child);
-  std::vector<NodeMatch> reference;
+  std::vector<NodeMatch> universe =
+      reference::EvaluateNodes(*index_, *TextExpr::All());
+  std::vector<NodeMatch> negative = reference::EvaluateNodes(*index_, *child);
+  std::vector<NodeMatch> expected;
   size_t j = 0;
   for (const NodeMatch& m : universe) {
     while (j < negative.size() && negative[j].node < m.node) ++j;
     if (j < negative.size() && negative[j].node == m.node) continue;
-    reference.push_back(m);
+    expected.push_back(m);
   }
-  ASSERT_FALSE(reference.empty());
-  ASSERT_LT(reference.size(), universe.size());
+  ASSERT_FALSE(expected.empty());
+  ASSERT_LT(expected.size(), universe.size());
 
   auto not_expr = TextExpr::Not(child->Clone());
-  ExpectSameMatches(EvaluateWithCursor(*index_, *not_expr), reference,
+  ExpectSameMatches(EvaluateWithCursor(*index_, *not_expr), expected,
                     "NOT china vs old subtraction");
-  ExpectSameMatches(index_->EvaluateNodes(*not_expr), reference,
+  ExpectSameMatches(reference::EvaluateNodes(*index_, *not_expr), expected,
                     "EvaluateNodes NOT china vs old subtraction");
 }
 
@@ -104,10 +106,10 @@ TEST_F(CursorTest, ContextFilterPushdownMatchesPostFilter) {
                          "\"united states\" OR mexico"};
   for (const char* text : panel) {
     auto expr = Expr(text);
-    std::vector<NodeMatch> reference = index_->EvaluateNodes(*expr);
-    std::erase_if(reference,
+    std::vector<NodeMatch> expected = reference::EvaluateNodes(*index_, *expr);
+    std::erase_if(expected,
                   [&](const NodeMatch& m) { return !allowed.count(m.path); });
-    ExpectSameMatches(EvaluateWithCursor(*index_, *expr, &allowed), reference,
+    ExpectSameMatches(EvaluateWithCursor(*index_, *expr, &allowed), expected,
                       std::string(text) + " [filtered]");
   }
 }
@@ -159,7 +161,7 @@ TEST(CursorSeekTest, AndAlignmentSkipsDocuments) {
     EXPECT_EQ(m.node.doc, 6u);  // only the last document holds both terms
   }
   EXPECT_GT(stats.docs_skipped, 0u);
-  ExpectSameMatches(matches, index.EvaluateNodes(*expr.value()),
+  ExpectSameMatches(matches, reference::EvaluateNodes(index, *expr.value()),
                     "apple AND berry");
 }
 
@@ -210,7 +212,7 @@ TEST(CursorPropertyTest, RandomExpressionsMatchEvaluateNodes) {
     auto expr = build(build, 2);
     SCOPED_TRACE("trial " + std::to_string(trial) + ": " + expr->ToString());
     ExpectSameMatches(EvaluateWithCursor(index, *expr),
-                      index.EvaluateNodes(*expr), expr->ToString());
+                      reference::EvaluateNodes(index, *expr), expr->ToString());
   }
 }
 
@@ -247,31 +249,31 @@ TEST_F(CandidateTest, BoundedSelectionMatchesStableSortTruncate) {
       for (size_t t = 0; t < query.terms.size(); ++t) {
         const query::QueryTerm& term = query.terms[t];
         // Reference: the old CandidateStreams recipe.
-        std::vector<NodeMatch> reference;
+        std::vector<NodeMatch> expected;
         bool all_content =
             !term.search || term.search->kind == TextExpr::Kind::kAll;
         if (all_content) {
           for (store::PathId path : term.context.ResolvePathIds(store_.paths())) {
             for (const store::NodeId& node : index_->NodesWithPath(path)) {
-              reference.push_back({node, path, kStructureOnlyScore});
+              expected.push_back({node, path, kStructureOnlyScore});
             }
           }
         } else {
-          reference = index_->EvaluateNodes(*term.search);
+          expected = reference::EvaluateNodes(*index_, *term.search);
           if (!term.context.unrestricted()) {
             auto paths = term.context.ResolvePathIds(store_.paths());
             std::unordered_set<store::PathId> allowed(paths.begin(), paths.end());
-            std::erase_if(reference, [&](const NodeMatch& m) {
+            std::erase_if(expected, [&](const NodeMatch& m) {
               return !allowed.count(m.path);
             });
           }
         }
-        std::stable_sort(reference.begin(), reference.end(),
+        std::stable_sort(expected.begin(), expected.end(),
                          [](const NodeMatch& a, const NodeMatch& b) {
                            return a.score > b.score;
                          });
-        if (cap > 0 && reference.size() > cap) reference.resize(cap);
-        ExpectSameMatches(set.terms[t].matches, reference,
+        if (cap > 0 && expected.size() > cap) expected.resize(cap);
+        ExpectSameMatches(set.terms[t].matches, expected,
                           std::string(text) + " term " + std::to_string(t) +
                               " cap " + std::to_string(cap));
       }

@@ -12,6 +12,7 @@ class ScenarioGraphTest : public ::testing::Test {
   void SetUp() override {
     data::PopulateScenario(&store_);
     graph_ = std::make_unique<DataGraph>(&store_);
+    ASSERT_TRUE(graph_->BuildCsr());
   }
   store::DocumentStore store_;
   std::unique_ptr<DataGraph> graph_;
@@ -26,6 +27,7 @@ TEST_F(ScenarioGraphTest, ResolvesIdRefEdges) {
 
 TEST_F(ScenarioGraphTest, IdRefEdgesCarryRelationshipLabel) {
   graph_->ResolveIdRefs();
+  ASSERT_TRUE(graph_->BuildCsr());
   bool found_bordering = false;
   store_.ForEachNode([&](const store::NodeId& id, xml::Node* node) {
     if (node->kind() == xml::NodeKind::kText) return;
@@ -42,6 +44,7 @@ TEST_F(ScenarioGraphTest, ValueBasedEdges) {
   size_t added = graph_->AddValueBasedEdges(
       "/country/name", "/country/economy/import_partners/item/trade_country",
       "trade_partner");
+  ASSERT_TRUE(graph_->BuildCsr());
   // "United States" (x4 name nodes... PK side is /country/name; each
   // matching trade_country FK node links to every equal-valued PK node).
   EXPECT_GT(added, 0u);
@@ -85,6 +88,7 @@ TEST_F(ScenarioGraphTest, ShortestPathWithinDocument) {
 
 TEST_F(ScenarioGraphTest, ShortestPathAcrossIdRef) {
   graph_->ResolveIdRefs();
+  ASSERT_TRUE(graph_->BuildCsr());
   // Pacific Ocean sea -> bordering -> mondial US country.
   store::DocId pacific_doc = 9;  // mondial-pacific
   store::DocId us_doc = 6;       // mondial-us

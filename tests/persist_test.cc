@@ -12,7 +12,11 @@
 
 #include "core/seda.h"
 #include "data/generators.h"
+#include "graph/csr.h"
+#include "graph/data_graph.h"
 #include "persist/format.h"
+#include "persist/reader.h"
+#include "persist/writer.h"
 
 namespace seda::core {
 namespace {
@@ -409,6 +413,105 @@ TEST_F(PersistCorruptionTest, RejectsHostileSectionCountWithValidCrc) {
 
 TEST_F(PersistCorruptionTest, RejectsGarbageFile) {
   WriteFile(path_, std::string(4096, '\x5A'));
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+}
+
+/// Rewrites the image at `path` with its graph sections replaced: the edge
+/// log of `edges` plus the CSR section of `csr` (none when null). Every other
+/// section is copied byte for byte and all CRCs come out valid, so only the
+/// graph decoders see the damage.
+void ReplaceGraphSections(const std::string& path,
+                          const graph::DataGraph& edges,
+                          const graph::Csr* csr) {
+  std::vector<std::pair<persist::SectionId, std::string>> kept;
+  uint64_t epoch = 0;
+  {
+    auto image = persist::MappedImage::Open(path);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    for (const persist::SectionEntry& entry : image.value()->sections()) {
+      auto id = static_cast<persist::SectionId>(entry.id);
+      auto payload = image.value()->Section(id);
+      ASSERT_TRUE(payload.ok());
+      kept.emplace_back(id, std::string(reinterpret_cast<const char*>(
+                                            payload.value().first),
+                                        payload.value().second));
+    }
+    epoch = image.value()->epoch();
+  }  // unmapped before the file is rewritten
+  persist::ImageWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  for (const auto& [id, bytes] : kept) {
+    if (id == persist::SectionId::kGraphCsr) continue;
+    if (id == persist::SectionId::kGraphEdges) {
+      ASSERT_EQ(edges.csr(), nullptr) << "pass the csr separately";
+      ASSERT_TRUE(edges.SaveTo(&writer).ok());
+      if (csr != nullptr) {
+        ASSERT_TRUE(csr->SaveTo(&writer).ok());
+      }
+      continue;
+    }
+    writer.BeginSection(id);
+    for (char c : bytes) writer.PutU8(static_cast<uint8_t>(c));
+    ASSERT_TRUE(writer.EndSection().ok());
+  }
+  ASSERT_TRUE(writer.Finish(epoch).ok());
+}
+
+/// A one-edge graph over `store`, CSR built, whose edge-count matches the
+/// hostile logs below — so CSR section validation passes and load-time edge
+/// derivation is what has to catch them.
+std::unique_ptr<graph::DataGraph> OneEdgeGraph(
+    const store::DocumentStore& store, const store::NodeId& to) {
+  auto graph = std::make_unique<graph::DataGraph>(&store);
+  graph->AddEdge(store::NodeId{0, xml::DeweyId({1})}, to,
+                 graph::EdgeType::kIdRef, "ref");
+  EXPECT_TRUE(graph->BuildCsr());
+  return graph;
+}
+
+TEST_F(PersistCorruptionTest, RejectsGraphEdgeWithOutOfRangeDoc) {
+  // doc 0xFFFFFFFF once wrapped `doc + 1` to 0 inside Csr::VertexOf and read
+  // past the per-document vertex table.
+  store::DocumentStore store;  // the image's documents
+  data::PopulateScenario(&store);
+  auto valid = OneEdgeGraph(store, {1, xml::DeweyId({1})});
+  graph::DataGraph hostile(&store);
+  hostile.AddEdge({0, xml::DeweyId({1})}, {0xFFFFFFFFu, xml::DeweyId({1})},
+                  graph::EdgeType::kIdRef, "ref");
+  ReplaceGraphSections(path_, hostile, valid->csr());
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+}
+
+TEST_F(PersistCorruptionTest, RejectsGraphEdgeToMissingNode) {
+  store::DocumentStore store;  // the image's documents
+  data::PopulateScenario(&store);
+  auto valid = OneEdgeGraph(store, {1, xml::DeweyId({1})});
+  graph::DataGraph hostile(&store);
+  hostile.AddEdge({0, xml::DeweyId({1})}, {1, xml::DeweyId({1, 999, 7})},
+                  graph::EdgeType::kIdRef, "ref");
+  ReplaceGraphSections(path_, hostile, valid->csr());
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+
+  // Without a CSR section the adjacency is rebuilt from the log, and the
+  // same dangling edge fails the load there too.
+  ReplaceGraphSections(path_, hostile, nullptr);
+  status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+}
+
+TEST_F(PersistCorruptionTest, RejectsNonTreeDegreeThatDisagreesWithTheLog) {
+  // Same edge count, different target: the CSR section's non_tree_degree
+  // credits doc 1's root, the log's edge lands on doc 2's.
+  store::DocumentStore store;
+  data::PopulateScenario(&store);
+  auto valid = OneEdgeGraph(store, {1, xml::DeweyId({1})});
+  graph::DataGraph moved(&store);
+  moved.AddEdge({0, xml::DeweyId({1})}, {2, xml::DeweyId({1})},
+                graph::EdgeType::kIdRef, "ref");
+  ReplaceGraphSections(path_, moved, valid->csr());
   Status status = OpenImage();
   EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
 }

@@ -165,6 +165,7 @@ TEST(ShardSearchTest, ShardIndexOutOfRangeIsRejected) {
   data::PopulateScenario(&store);
   graph::DataGraph graph(&store);
   graph.ResolveIdRefs();
+  ASSERT_TRUE(graph.BuildCsr());
   text::InvertedIndex index(&store);
   topk::TopKSearcher searcher(&index, &graph);
   auto query = query::ParseQuery("(name, *)");

@@ -14,6 +14,7 @@ class SummaryTest : public ::testing::Test {
     data::PopulateScenario(&store_);
     graph_ = std::make_unique<graph::DataGraph>(&store_);
     graph_->ResolveIdRefs();
+    ASSERT_TRUE(graph_->BuildCsr());
     index_ = std::make_unique<text::InvertedIndex>(&store_);
     dataguide::DataguideCollection::Options options;
     options.overlap_threshold = 0.4;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "data/generators.h"
+#include "reference/evaluate_nodes.h"
 #include "text/analyzer.h"
 #include "text/inverted_index.h"
 #include "text/text_expr.h"
@@ -122,7 +123,7 @@ TEST_F(IndexTest, PostingsAreInDocumentOrder) {
 TEST_F(IndexTest, NodePostingsIncludeAncestors) {
   // "china" appears in trade_country leaves; the /country roots containing
   // them must also match (Definition 3 content semantics).
-  auto matches = index_->EvaluateNodes(*TextExpr::Term("china"));
+  auto matches = reference::EvaluateNodes(*index_, *TextExpr::Term("china"));
   bool saw_leaf = false, saw_root = false;
   for (const NodeMatch& m : matches) {
     const std::string& path = store_.paths().PathString(m.path);
@@ -165,27 +166,27 @@ TEST_F(IndexTest, UnitedStatesHasThreeFactbookContexts) {
 TEST_F(IndexTest, PhraseEvaluationRequiresAdjacency) {
   auto phrase = ParseTextExpr("\"pacific ocean\"");
   ASSERT_TRUE(phrase.ok());
-  auto matches = index_->EvaluateNodes(*phrase.value());
+  auto matches = reference::EvaluateNodes(*index_, *phrase.value());
   EXPECT_FALSE(matches.empty());
   auto reversed = ParseTextExpr("\"ocean pacific\"");
-  EXPECT_TRUE(index_->EvaluateNodes(*reversed.value()).empty());
+  EXPECT_TRUE(reference::EvaluateNodes(*index_, *reversed.value()).empty());
 }
 
 TEST_F(IndexTest, BooleanEvaluation) {
   auto expr = ParseTextExpr("mexico AND germany");
-  auto matches = index_->EvaluateNodes(*expr.value());
+  auto matches = reference::EvaluateNodes(*index_, *expr.value());
   // Only nodes containing both: the mexico-2003 doc's root/economy chain.
   ASSERT_FALSE(matches.empty());
   for (const NodeMatch& m : matches) {
     EXPECT_EQ(m.node.doc, 4u);  // mexico-2003
   }
   auto none = ParseTextExpr("mexico AND philippines");
-  EXPECT_TRUE(index_->EvaluateNodes(*none.value()).empty());
+  EXPECT_TRUE(reference::EvaluateNodes(*index_, *none.value()).empty());
 }
 
 TEST_F(IndexTest, NotEvaluation) {
   auto expr = ParseTextExpr("mexico AND NOT germany");
-  auto matches = index_->EvaluateNodes(*expr.value());
+  auto matches = reference::EvaluateNodes(*index_, *expr.value());
   ASSERT_FALSE(matches.empty());
   for (const NodeMatch& m : matches) {
     auto tokens = Tokenize(store_.GetNode(m.node)->ContentString());
@@ -243,7 +244,7 @@ TEST_P(IndexEquivalenceTest, MatchesBruteForce) {
     if (expr.value()->Matches(tokens)) expected.insert(id.ToString());
   });
   std::set<std::string> actual;
-  for (const NodeMatch& m : index.EvaluateNodes(*expr.value())) {
+  for (const NodeMatch& m : reference::EvaluateNodes(index, *expr.value())) {
     actual.insert(m.node.ToString());
   }
   EXPECT_EQ(actual, expected) << GetParam();

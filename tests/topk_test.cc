@@ -17,6 +17,7 @@ class TopKTest : public ::testing::Test {
     data::PopulateScenario(&store_);
     graph_ = std::make_unique<graph::DataGraph>(&store_);
     graph_->ResolveIdRefs();
+    ASSERT_TRUE(graph_->BuildCsr());
     index_ = std::make_unique<text::InvertedIndex>(&store_);
     searcher_ = std::make_unique<TopKSearcher>(index_.get(), graph_.get());
   }
@@ -125,6 +126,7 @@ TEST_P(TaVsNaiveTest, SameTopScores) {
   data::PopulateScenario(&store);
   graph::DataGraph graph(&store);
   graph.ResolveIdRefs();
+  ASSERT_TRUE(graph.BuildCsr());
   text::InvertedIndex index(&store);
   TopKSearcher searcher(&index, &graph);
   auto q = query::ParseQuery(GetParam());
@@ -207,6 +209,7 @@ class TupleHeapSemanticsTest : public ::testing::Test {
     ASSERT_TRUE(store_.AddXml("<r><c><a>apple</a><b>berry</b></c></r>", "near1").ok());
     ASSERT_TRUE(store_.AddXml("<r><c><a>apple</a><b>berry</b></c></r>", "near2").ok());
     graph_ = std::make_unique<graph::DataGraph>(&store_);
+    ASSERT_TRUE(graph_->BuildCsr());
     index_ = std::make_unique<text::InvertedIndex>(&store_);
     searcher_ = std::make_unique<TopKSearcher>(index_.get(), graph_.get());
   }
@@ -269,6 +272,7 @@ class HubCapTest : public ::testing::Test {
                   "/country/economy/import_partners/item/trade_country",
                   "trade_partner"),
               static_cast<size_t>(kSatellites));
+    ASSERT_TRUE(graph_->BuildCsr());
     index_ = std::make_unique<text::InvertedIndex>(&store_);
     searcher_ = std::make_unique<TopKSearcher>(index_.get(), graph_.get());
   }

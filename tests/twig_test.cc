@@ -12,6 +12,7 @@ class TwigTest : public ::testing::Test {
     data::PopulateScenario(&store_);
     graph_ = std::make_unique<graph::DataGraph>(&store_);
     graph_->ResolveIdRefs();
+    ASSERT_TRUE(graph_->BuildCsr());
     index_ = std::make_unique<text::InvertedIndex>(&store_);
     generator_ = std::make_unique<CompleteResultGenerator>(index_.get(),
                                                            graph_.get());
@@ -225,6 +226,7 @@ class TwigDeadlineTest : public ::testing::Test {
     xml += "</root>";
     ASSERT_TRUE(store_.AddXml(xml, "wide").ok());
     graph_ = std::make_unique<graph::DataGraph>(&store_);
+    ASSERT_TRUE(graph_->BuildCsr());
     index_ = std::make_unique<text::InvertedIndex>(&store_);
     generator_ = std::make_unique<CompleteResultGenerator>(index_.get(),
                                                            graph_.get());
