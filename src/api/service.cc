@@ -9,6 +9,7 @@ namespace seda::api {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using topk::SearchStats;
 
 double ElapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -43,34 +44,51 @@ const char* MethodName(size_t method) {
   return kNames[method];
 }
 
-/// Cumulative engine counters (seda_engine_*_total), in StatsDto field
-/// order — FinishRequest and Statz walk this table so a new counter only
-/// needs one row here plus its StatsDto field.
+/// Cumulative engine counters (seda_engine_*_total): one row per counter,
+/// carrying the SearchStats field it is read from and the StatsDto field it
+/// lands in. MakeStats, FinishRequest and Statz walk this table, so a new
+/// counter needs one row here plus its two fields.
 struct EngineCounterSpec {
   const char* name;
   const char* help;
+  uint64_t SearchStats::*source;
+  uint64_t StatsDto::*field;
 };
 constexpr EngineCounterSpec kEngineCounters[] = {
-    {"seda_engine_candidates_total", "Candidate nodes produced by term lookups."},
-    {"seda_engine_docs_considered_total", "Documents entering the TA scan."},
-    {"seda_engine_docs_scored_total", "Documents fully scored by the TA scan."},
-    {"seda_engine_tuples_scored_total", "Term-node tuples scored."},
-    {"seda_engine_postings_advanced_total", "Posting cursor advances."},
-    {"seda_engine_docs_skipped_total", "Documents pruned before scoring."},
-    {"seda_engine_heap_evictions_total", "Top-k heap evictions."},
-    {"seda_engine_hub_links_skipped_total", "Hub links skipped while scoring."},
-    {"seda_engine_tuples_trimmed_total", "Tuples trimmed by per-doc budgets."},
-    {"seda_engine_bfs_expansions_total", "Connection-scoring BFS expansions."},
+    {"seda_engine_candidates_total",
+     "Candidate nodes produced by term lookups.",
+     &SearchStats::candidates_total, &StatsDto::candidates_total},
+    {"seda_engine_docs_considered_total", "Documents entering the TA scan.",
+     &SearchStats::docs_considered, &StatsDto::docs_considered},
+    {"seda_engine_docs_scored_total", "Documents fully scored by the TA scan.",
+     &SearchStats::docs_scored, &StatsDto::docs_scored},
+    {"seda_engine_tuples_scored_total", "Term-node tuples scored.",
+     &SearchStats::tuples_scored, &StatsDto::tuples_scored},
+    {"seda_engine_postings_advanced_total", "Posting cursor advances.",
+     &SearchStats::postings_advanced, &StatsDto::postings_advanced},
+    {"seda_engine_docs_skipped_total", "Documents pruned before scoring.",
+     &SearchStats::docs_skipped, &StatsDto::docs_skipped},
+    {"seda_engine_heap_evictions_total", "Top-k heap evictions.",
+     &SearchStats::heap_evictions, &StatsDto::heap_evictions},
+    {"seda_engine_hub_links_skipped_total", "Hub links skipped while scoring.",
+     &SearchStats::hub_links_skipped, &StatsDto::hub_links_skipped},
+    {"seda_engine_tuples_trimmed_total", "Tuples trimmed by per-doc budgets.",
+     &SearchStats::tuples_trimmed, &StatsDto::tuples_trimmed},
+    {"seda_engine_bfs_expansions_total", "Connection-scoring BFS expansions.",
+     &SearchStats::bfs_expansions, &StatsDto::bfs_expansions},
     {"seda_engine_intersection_probes_total",
-     "Adjacency intersection probes (graph kernels)."},
-    {"seda_engine_sketch_hits_total", "2-hop sketch hits (graph kernels)."},
+     "Adjacency intersection probes (graph kernels).",
+     &SearchStats::intersection_probes, &StatsDto::intersection_probes},
+    {"seda_engine_sketch_hits_total", "2-hop sketch hits (graph kernels).",
+     &SearchStats::sketch_hits, &StatsDto::sketch_hits},
     {"seda_engine_column_rows_scanned_total",
-     "Columnar row lookups during cube extraction."},
+     "Columnar row lookups during cube extraction.",
+     &SearchStats::column_rows_scanned, &StatsDto::column_rows_scanned},
     {"seda_engine_column_fallback_docs_total",
-     "Cube result tuples extracted via the tree-walk fallback."},
+     "Cube result tuples extracted via the tree-walk fallback.",
+     &SearchStats::column_fallback_docs, &StatsDto::column_fallback_docs},
 };
-constexpr size_t kEngineCounterCount =
-    sizeof(kEngineCounters) / sizeof(*kEngineCounters);
+constexpr size_t kEngineCounterCount = std::size(kEngineCounters);
 
 uint64_t NowUnixMs() {
   return static_cast<uint64_t>(
@@ -79,28 +97,17 @@ uint64_t NowUnixMs() {
           .count());
 }
 
-StatsDto MakeStats(const topk::SearchStats& stats, double elapsed_ms,
+StatsDto MakeStats(const SearchStats& stats, double elapsed_ms,
                    uint64_t deadline_ms) {
   StatsDto dto;
   dto.epoch = stats.epoch;
   dto.elapsed_ms = elapsed_ms;
   dto.deadline_ms = deadline_ms;
   dto.deadline_exceeded = stats.deadline_exceeded;
-  dto.candidates_total = stats.candidates_total;
-  dto.docs_considered = stats.docs_considered;
-  dto.docs_scored = stats.docs_scored;
-  dto.tuples_scored = stats.tuples_scored;
   dto.early_terminated = stats.early_terminated;
-  dto.postings_advanced = stats.postings_advanced;
-  dto.docs_skipped = stats.docs_skipped;
-  dto.heap_evictions = stats.heap_evictions;
-  dto.hub_links_skipped = stats.hub_links_skipped;
-  dto.tuples_trimmed = stats.tuples_trimmed;
-  dto.bfs_expansions = stats.bfs_expansions;
-  dto.intersection_probes = stats.intersection_probes;
-  dto.sketch_hits = stats.sketch_hits;
-  dto.column_rows_scanned = stats.column_rows_scanned;
-  dto.column_fallback_docs = stats.column_fallback_docs;
+  for (const EngineCounterSpec& counter : kEngineCounters) {
+    dto.*counter.field = stats.*counter.source;
+  }
   return dto;
 }
 
@@ -617,16 +624,9 @@ void SedaService::FinishRequest(Method method, double elapsed_ms,
   series.latency_ms->Observe(elapsed_ms);
   if (stats != nullptr) {
     if (stats->deadline_exceeded) series.deadline_exceeded->Inc();
-    const uint64_t values[kEngineCounterCount] = {
-        stats->candidates_total, stats->docs_considered,
-        stats->docs_scored,      stats->tuples_scored,
-        stats->postings_advanced, stats->docs_skipped,
-        stats->heap_evictions,   stats->hub_links_skipped,
-        stats->tuples_trimmed,   stats->bfs_expansions,
-        stats->intersection_probes, stats->sketch_hits,
-        stats->column_rows_scanned, stats->column_fallback_docs};
     for (size_t i = 0; i < kEngineCounterCount; ++i) {
-      if (values[i] > 0) engine_counters_[i]->Inc(values[i]);
+      const uint64_t value = stats->*kEngineCounters[i].field;
+      if (value > 0) engine_counters_[i]->Inc(value);
     }
   }
 
@@ -765,16 +765,8 @@ StatzResponse SedaService::Statz(const StatzRequest&) {
     response.methods.push_back(std::move(dto));
   }
   StatsDto& cumulative = response.cumulative;
-  uint64_t* fields[kEngineCounterCount] = {
-      &cumulative.candidates_total, &cumulative.docs_considered,
-      &cumulative.docs_scored,      &cumulative.tuples_scored,
-      &cumulative.postings_advanced, &cumulative.docs_skipped,
-      &cumulative.heap_evictions,   &cumulative.hub_links_skipped,
-      &cumulative.tuples_trimmed,   &cumulative.bfs_expansions,
-      &cumulative.intersection_probes, &cumulative.sketch_hits,
-      &cumulative.column_rows_scanned, &cumulative.column_fallback_docs};
   for (size_t i = 0; i < kEngineCounterCount; ++i) {
-    *fields[i] = engine_counters_[i]->Value();
+    cumulative.*kEngineCounters[i].field = engine_counters_[i]->Value();
   }
   if (transport_statz_) response.transport = transport_statz_();
   FinishRequest(kStatz, ElapsedMs(start), response.status, nullptr,

@@ -272,45 +272,46 @@ void SnapshotAuditor::AuditIndex(AuditReport* report) const {
   }
 
   for (const std::string& term : index_->AllTerms()) {
-    const std::vector<text::NodePosting>& postings = index_->Postings(term);
+    const text::PostingList postings = index_->Postings(term);
     std::unordered_set<store::DocId> posting_docs;
     uint32_t max_tf = 0;
     for (size_t i = 0; i < postings.size(); ++i) {
-      const text::NodePosting& p = postings[i];
+      const store::NodeId node = postings.node(i);
       ++report->checks_run;
-      if (i > 0 && !(postings[i - 1].node < p.node)) {
+      if (i > 0 && !postings.Before(i - 1, node.doc, postings.dewey(i))) {
         report->Add("index.posting_order",
                     "term '" + term + "' postings not strictly ascending at " +
-                        NodeRef(p.node));
+                        NodeRef(node));
       }
-      xml::Node* node = store_->GetNode(p.node);
+      xml::Node* xml_node = store_->GetNode(node);
       ++report->checks_run;
-      if (node == nullptr) {
+      if (xml_node == nullptr) {
         report->Add("index.posting_bounds", "term '" + term + "' posting " +
-                                                NodeRef(p.node) +
+                                                NodeRef(node) +
                                                 " does not resolve");
         continue;
       }
-      auto pid = store_->GetPathId(p.node);
+      auto pid = store_->GetPathId(node);
       ++report->checks_run;
-      if (!pid.ok() || *pid != p.path) {
+      if (!pid.ok() || *pid != postings.path(i)) {
         report->Add("index.posting_path",
-                    "term '" + term + "' posting " + NodeRef(p.node) +
-                        " carries path " + std::to_string(p.path) +
+                    "term '" + term + "' posting " + NodeRef(node) +
+                        " carries path " + std::to_string(postings.path(i)) +
                         ", store says " +
                         (pid.ok() ? std::to_string(*pid) : "<unresolved>"));
       }
-      for (size_t j = 1; j < p.positions.size(); ++j) {
+      const std::span<const uint32_t> positions = postings.positions(i);
+      for (size_t j = 1; j < positions.size(); ++j) {
         ++report->checks_run;
-        if (p.positions[j] <= p.positions[j - 1]) {
+        if (positions[j] <= positions[j - 1]) {
           report->Add("index.positions_sorted",
-                      "term '" + term + "' posting " + NodeRef(p.node) +
+                      "term '" + term + "' posting " + NodeRef(node) +
                           " positions not strictly ascending");
           break;
         }
       }
-      posting_docs.insert(p.node.doc);
-      max_tf = std::max(max_tf, static_cast<uint32_t>(p.positions.size()));
+      posting_docs.insert(node.doc);
+      max_tf = std::max(max_tf, static_cast<uint32_t>(positions.size()));
     }
 
     ++report->checks_run;

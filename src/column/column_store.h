@@ -9,14 +9,16 @@
 #include <vector>
 
 #include "common/status.h"
+#include "persist/reader.h"
 #include "store/document_store.h"
 
 namespace seda::persist {
 class ImageWriter;
-class MappedImage;
-}  // namespace seda::persist
+}
 
 namespace seda::column {
+
+using persist::U32View;
 
 /// Schema-inferred columnar projections (ROADMAP "schema inference + columnar
 /// hybrid projections" item, following the X-WACoDa hybrid-warehouse idea):
@@ -70,34 +72,6 @@ struct InferenceOptions {
   double max_avg_occurrences = 64.0;
   /// Hard cap on materialized columns; the best-supported paths win.
   uint64_t max_columns = 1024;
-};
-
-/// Flat u32 array that is either owned (built at Commit, or decoded for a
-/// pre-column image) or a zero-copy view into a mapped snapshot image whose
-/// lifetime the owning ColumnStore pins. Mirrors graph::U32View; duplicated
-/// because the column layer sits below the graph layer.
-class U32View {
- public:
-  U32View() = default;
-  void Own(std::vector<uint32_t> values) {
-    owned_ = std::move(values);
-    data_ = owned_.data();
-    size_ = owned_.size();
-  }
-  void Borrow(const uint32_t* data, size_t size) {
-    owned_.clear();
-    owned_.shrink_to_fit();
-    data_ = data;
-    size_ = size;
-  }
-  const uint32_t* data() const { return data_; }
-  size_t size() const { return size_; }
-  uint32_t operator[](size_t i) const { return data_[i]; }
-
- private:
-  const uint32_t* data_ = nullptr;
-  size_t size_ = 0;
-  std::vector<uint32_t> owned_;
 };
 
 /// One inferred column. Rows are the path's leaf occurrences across the whole

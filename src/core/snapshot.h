@@ -107,7 +107,7 @@ class Snapshot {
   Status Save(const std::string& path) const;
 
   /// Reopens a saved epoch from a validated image: documents materialize in
-  /// parallel over `load_pool`, posting lists and dataguides decode straight
+  /// parallel over `load_pool`, posting blocks and dataguides come straight
   /// out of the mapping, and nothing is re-tokenized or re-resolved —
   /// making reopen O(image size) instead of O(re-ingestion). The loaded
   /// snapshot is a full epoch: it serves queries (scoring fans out over

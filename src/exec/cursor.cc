@@ -11,21 +11,21 @@ namespace {
 
 using store::NodeId;
 using text::NodeMatch;
-using text::NodePosting;
+using text::PostingList;
 using text::TextExpr;
 
-/// Sorted-access cursor over one term's posting list. Scores are computed
-/// lazily per posting with text::TermContentScore.
+/// Sorted-access cursor over one term's posting list, read in place.
+/// Scores are computed lazily per posting with text::TermContentScore.
 class TermCursor final : public MatchCursor {
  public:
-  TermCursor(const std::vector<NodePosting>* postings, double idf,
-             uint32_t max_tf, CursorStats* stats)
+  TermCursor(PostingList postings, double idf, uint32_t max_tf,
+             CursorStats* stats)
       : postings_(postings), idf_(idf), stats_(stats) {
     max_score_ = Score(max_tf);
-    if (!postings_->empty()) SetCurrent();
+    if (!postings_.empty()) SetCurrent();
   }
 
-  bool AtEnd() const override { return pos_ >= postings_->size(); }
+  bool AtEnd() const override { return pos_ >= postings_.size(); }
   const NodeMatch& Current() const override { return current_; }
   double MaxScore() const override { return max_score_; }
 
@@ -36,13 +36,8 @@ class TermCursor final : public MatchCursor {
 
   void Seek(const NodeId& target) override {
     if (AtEnd() || !(current_.node < target)) return;
-    auto begin = postings_->begin() + static_cast<ptrdiff_t>(pos_);
-    auto it = std::lower_bound(begin, postings_->end(), target,
-                               [](const NodePosting& p, const NodeId& t) {
-                                 return p.node < t;
-                               });
     store::DocId old_doc = current_.node.doc;
-    pos_ = static_cast<size_t>(it - postings_->begin());
+    pos_ = postings_.LowerBound(pos_, target);
     if (!AtEnd()) {
       SetCurrent();
       SEDA_DCHECK(!(current_.node < target))
@@ -57,14 +52,14 @@ class TermCursor final : public MatchCursor {
   double Score(size_t tf) const { return text::TermContentScore(idf_, tf); }
 
   void SetCurrent() {
-    SEDA_DCHECK_LT(pos_, postings_->size())
+    SEDA_DCHECK_LT(pos_, postings_.size())
         << "term cursor positioned past its posting list";
-    const NodePosting& p = (*postings_)[pos_];
-    current_ = {p.node, p.path, Score(p.positions.size())};
+    current_ = {postings_.node(pos_), postings_.path(pos_),
+                Score(postings_.positions(pos_).size())};
     ++stats_->postings_advanced;
   }
 
-  const std::vector<NodePosting>* postings_;
+  PostingList postings_;
   double idf_;
   CursorStats* stats_;
   double max_score_ = 0.0;
@@ -76,15 +71,13 @@ class TermCursor final : public MatchCursor {
 /// posting list on one node, then verifies consecutive positions.
 class PhraseCursor final : public MatchCursor {
  public:
-  PhraseCursor(std::vector<const std::vector<NodePosting>*> lists, double score,
-               CursorStats* stats)
+  PhraseCursor(std::vector<PostingList> lists, double score, CursorStats* stats)
       : lists_(std::move(lists)),
         cursor_(lists_.size(), 0),
-        row_(lists_.size()),
         score_(score),
         stats_(stats) {
-    for (const auto* list : lists_) {
-      if (list->empty()) {
+    for (const PostingList& list : lists_) {
+      if (list.empty()) {
         exhausted_ = true;
         return;
       }
@@ -109,16 +102,11 @@ class PhraseCursor final : public MatchCursor {
 
   void Seek(const NodeId& target) override {
     if (exhausted_ || !(current_.node < target)) return;
-    const auto& lead = *lists_[0];
-    auto begin = lead.begin() + static_cast<ptrdiff_t>(cursor_[0]);
-    auto it = std::lower_bound(begin, lead.end(), target,
-                               [](const NodePosting& p, const NodeId& t) {
-                                 return p.node < t;
-                               });
+    const PostingList& lead = lists_[0];
     store::DocId old_doc = current_.node.doc;
-    cursor_[0] = static_cast<size_t>(it - lead.begin());
-    if (cursor_[0] < lead.size() && lead[cursor_[0]].node.doc > old_doc) {
-      stats_->docs_skipped += lead[cursor_[0]].node.doc - old_doc;
+    cursor_[0] = lead.LowerBound(cursor_[0], target);
+    if (cursor_[0] < lead.size() && lead.doc(cursor_[0]) > old_doc) {
+      stats_->docs_skipped += lead.doc(cursor_[0]) - old_doc;
     }
     AdvanceToMatch();
   }
@@ -129,29 +117,31 @@ class PhraseCursor final : public MatchCursor {
   /// exec_test equivalence suite (incl. random-expression property tests)
   /// checks it against the reference evaluator's phrase loop.
   void AdvanceToMatch() {
-    const auto& lead = *lists_[0];
+    const PostingList& lead = lists_[0];
     for (; cursor_[0] < lead.size(); ++cursor_[0], ++stats_->postings_advanced) {
-      const NodePosting& first = lead[cursor_[0]];
+      const size_t first = cursor_[0];
+      const store::DocId doc = lead.doc(first);
+      const std::span<const uint32_t> dewey = lead.dewey(first);
       bool aligned = true;
-      row_[0] = &first;
       for (size_t t = 1; t < lists_.size(); ++t) {
-        const auto& list = *lists_[t];
+        const PostingList& list = lists_[t];
         size_t& c = cursor_[t];
-        while (c < list.size() && list[c].node < first.node) {
+        while (c < list.size() && list.Before(c, doc, dewey)) {
           ++c;
           ++stats_->postings_advanced;
         }
-        if (c >= list.size() || !(list[c].node == first.node)) {
+        // list[c] >= lead[first]; they align unless lead[first] is before.
+        if (c >= list.size() ||
+            lead.Before(first, list.doc(c), list.dewey(c))) {
           aligned = false;
           break;
         }
-        row_[t] = &list[c];
       }
       if (!aligned) continue;
-      for (uint32_t p0 : first.positions) {
+      for (uint32_t p0 : lead.positions(first)) {
         bool all = true;
-        for (size_t t = 1; t < row_.size(); ++t) {
-          const auto& positions = row_[t]->positions;
+        for (size_t t = 1; t < lists_.size(); ++t) {
+          const auto positions = lists_[t].positions(cursor_[t]);
           if (!std::binary_search(positions.begin(), positions.end(),
                                   p0 + static_cast<uint32_t>(t))) {
             all = false;
@@ -159,7 +149,7 @@ class PhraseCursor final : public MatchCursor {
           }
         }
         if (all) {
-          current_ = {first.node, first.path, score_};
+          current_ = {lead.node(first), lead.path(first), score_};
           return;
         }
       }
@@ -167,9 +157,8 @@ class PhraseCursor final : public MatchCursor {
     exhausted_ = true;
   }
 
-  std::vector<const std::vector<NodePosting>*> lists_;
+  std::vector<PostingList> lists_;
   std::vector<size_t> cursor_;
-  std::vector<const NodePosting*> row_;  ///< alignment scratch, reused per step
   double score_;
   CursorStats* stats_;
   bool exhausted_ = false;
@@ -650,16 +639,16 @@ std::unique_ptr<MatchCursor> BuildCursor(
       return MakeUniverse(index, context_filter, stats);
     case TextExpr::Kind::kTerm:
       return WrapFilter(
-          std::make_unique<TermCursor>(&index.Postings(expr.term),
+          std::make_unique<TermCursor>(index.Postings(expr.term),
                                        index.Idf(expr.term),
                                        index.MaxTermFrequency(expr.term), stats),
           context_filter);
     case TextExpr::Kind::kPhrase: {
       if (expr.phrase.empty()) return std::make_unique<EmptyCursor>();
-      std::vector<const std::vector<NodePosting>*> lists;
+      std::vector<PostingList> lists;
       double score = 0.0;
       for (const auto& token : expr.phrase) {
-        lists.push_back(&index.Postings(token));
+        lists.push_back(index.Postings(token));
         score += index.Idf(token);
       }
       return WrapFilter(

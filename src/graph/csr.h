@@ -8,43 +8,16 @@
 
 #include "common/status.h"
 #include "graph/data_graph.h"
+#include "persist/reader.h"
 #include "store/document_store.h"
 
 namespace seda::persist {
 class ImageWriter;
-class MappedImage;
-}  // namespace seda::persist
+}
 
 namespace seda::graph {
 
-/// Flat u32 array that is either owned (built at Commit or decoded on a
-/// pre-CSR image) or a zero-copy view into a mapped snapshot image whose
-/// lifetime the owning Csr pins.
-class U32View {
- public:
-  U32View() = default;
-  void Own(std::vector<uint32_t> values) {
-    owned_ = std::move(values);
-    data_ = owned_.data();
-    size_ = owned_.size();
-  }
-  void Borrow(const uint32_t* data, size_t size) {
-    owned_.clear();
-    owned_.shrink_to_fit();
-    data_ = data;
-    size_ = size;
-  }
-  const uint32_t* data() const { return data_; }
-  size_t size() const { return size_; }
-  uint32_t operator[](size_t i) const { return data_[i]; }
-  const uint32_t* begin() const { return data_; }
-  const uint32_t* end() const { return data_ + size_; }
-
- private:
-  const uint32_t* data_ = nullptr;
-  size_t size_ = 0;
-  std::vector<uint32_t> owned_;
-};
+using persist::U32View;
 
 /// The data graph's adjacency (ROADMAP "CSR graph kernels" item, following
 /// the TriangleCounting playbook): every non-text node gets a dense uint32

@@ -6,7 +6,7 @@
 
 namespace seda::persist {
 
-/// On-disk snapshot image layout (version 1):
+/// On-disk snapshot image layout (version 2):
 ///
 ///   [FileHeader: 64 bytes]
 ///   [section 0 payload, 64-byte aligned]
@@ -27,7 +27,7 @@ namespace seda::persist {
 inline constexpr uint8_t kMagic[8] = {'S', 'E', 'D', 'A', 'I', 'M', 'G', 1};
 
 /// Bumped on any incompatible layout change; readers reject other versions.
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Written natively by the writer; reads as 0x04030201 on a wrong-endian
 /// reader, which then rejects the image.
@@ -44,8 +44,10 @@ enum class SectionId : uint32_t {
   kStorePaths = 2,  ///< PathDictionary: path strings + occurrence statistics
   kStoreDocs = 3,   ///< parsed documents (preorder trees) + per-doc path sets
   kGraphEdges = 4,  ///< data-graph non-tree edge log, insertion order
-  kIndexTerms = 5,  ///< term -> node postings, document frequencies, max tf
-  kIndexPaths = 6,  ///< term -> path postings/counts, path -> nodes table
+  kIndexTerms = 5,  ///< posting-block arena (u32, mapped zero-copy), then
+                    ///< term -> block offset, max tf, document frequency
+  kIndexPaths = 6,  ///< path-count arena (u32 pairs, mapped zero-copy), term
+                    ///< -> paths + count range, path -> nodes table
   kDataguides = 7,  ///< dataguide summary: guides, stats, path-level links
   kGraphCsr = 8,    ///< CSR graph-kernel arrays (all-u32, mapped zero-copy);
                     ///< optional — absent sections are rebuilt from the edge

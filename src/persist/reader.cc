@@ -110,9 +110,12 @@ Status MappedImage::Validate() {
               static_cast<size_t>(header_.section_count) * sizeof(SectionEntry));
   for (const SectionEntry& entry : sections_) {
     const char* name = SectionName(static_cast<SectionId>(entry.id));
-    if (entry.offset > size_ || entry.size > size_ - entry.offset) {
+    // Aligned payloads are what lets flat u32 arrays (posting blocks, CSR,
+    // columns) be read in place.
+    if (entry.offset % kSectionAlignment != 0 || entry.offset > size_ ||
+        entry.size > size_ - entry.offset) {
       return Status::ParseError(std::string("image section '") + name +
-                                "' out of bounds: " + path_);
+                                "' misaligned or out of bounds: " + path_);
     }
     uint32_t crc = Crc32(data_ + entry.offset, static_cast<size_t>(entry.size));
     if (crc != entry.crc) {

@@ -21,9 +21,9 @@ namespace seda::persist {
 /// decoding never touches unverified bytes.
 ///
 /// The mapping is the only copy of the bulk data: SectionCursors decode
-/// directly out of it (offset-addressed, alignment-padded segments), and only
-/// the pointer-bearing heads — hash indexes, tree nodes, posting vectors —
-/// are materialized on the heap by the per-layer Load hooks.
+/// directly out of it (offset-addressed, alignment-padded segments), flat
+/// u32 arrays are borrowed in place (U32View), and only the pointer-bearing
+/// heads — hash indexes, tree nodes — are rebuilt by the per-layer Load hooks.
 class MappedImage {
  public:
   static Result<std::shared_ptr<MappedImage>> Open(const std::string& path);
@@ -62,6 +62,40 @@ class MappedImage {
   std::vector<uint8_t> fallback_;  ///< used when mmap is unavailable
   FileHeader header_{};
   std::vector<SectionEntry> sections_;
+};
+
+/// Flat u32 array, either owned (built at Commit) or a zero-copy view into a
+/// mapped image (GetU32Span) whose lifetime the owner pins: the CSR, column
+/// and posting arenas. Move-only: a copy would point into the source.
+class U32View {
+ public:
+  U32View() = default;
+  U32View(U32View&&) noexcept = default;
+  U32View& operator=(U32View&&) noexcept = default;
+  U32View(const U32View&) = delete;
+  U32View& operator=(const U32View&) = delete;
+
+  void Own(std::vector<uint32_t> values) {
+    owned_ = std::move(values);
+    data_ = owned_.data();
+    size_ = owned_.size();
+  }
+  void Borrow(const uint32_t* data, size_t size) {
+    owned_.clear();
+    owned_.shrink_to_fit();
+    data_ = data;
+    size_ = size;
+  }
+  const uint32_t* data() const { return data_; }
+  size_t size() const { return size_; }
+  uint32_t operator[](size_t i) const { return data_[i]; }
+  const uint32_t* begin() const { return data_; }
+  const uint32_t* end() const { return data_ + size_; }
+
+ private:
+  const uint32_t* data_ = nullptr;
+  size_t size_ = 0;
+  std::vector<uint32_t> owned_;
 };
 
 /// Bounds-checked sequential decoder over one section's bytes. Errors are
@@ -112,7 +146,8 @@ class SectionCursor {
     uint32_t count = GetU32();
     std::vector<uint32_t> out;
     size_t bytes = size_t{count} * sizeof(uint32_t);
-    if (!Ensure(bytes)) return out;
+    // An empty array has no bytes to copy (and out.data() may be null).
+    if (count == 0 || !Ensure(bytes)) return out;
     out.resize(count);
     std::memcpy(out.data(), data_, bytes);
     data_ += bytes;
@@ -120,10 +155,11 @@ class SectionCursor {
   }
 
   /// Zero-copy twin of GetU32Array: returns (pointer, count) into the
-  /// mapping and skips past the array. Valid only in sections whose layout
-  /// is all-u32 (e.g. kGraphCsr): section payloads are 64-byte aligned and
-  /// every preceding read advanced by a multiple of 4, so the span is
-  /// 4-byte aligned for direct uint32_t access.
+  /// mapping and skips past the array. Valid only where every preceding
+  /// read of the section advanced by a multiple of 4 (an all-u32 section
+  /// such as kGraphCsr, or the arena that opens kIndexTerms): section
+  /// payloads are 64-byte aligned, so the span is 4-byte aligned for direct
+  /// uint32_t access.
   std::pair<const uint32_t*, size_t> GetU32Span() {
     uint32_t count = GetU32();
     size_t bytes = size_t{count} * sizeof(uint32_t);

@@ -59,7 +59,7 @@ class ImageWriter {
     PutU32(static_cast<uint32_t>(values.size()));
     PutRaw(values.data(), values.size() * sizeof(uint32_t));
   }
-  /// PutU32Array over raw memory — lets zero-copy views (graph/csr.h
+  /// PutU32Array over raw memory — lets zero-copy views (persist/reader.h
   /// U32View) round-trip without re-vectorizing.
   void PutU32Span(const uint32_t* values, size_t count) {
     PutU32(static_cast<uint32_t>(count));

@@ -1,7 +1,10 @@
 #include "text/inverted_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
+#include <ranges>
 #include <unordered_set>
 #include <utility>
 
@@ -12,7 +15,6 @@
 
 namespace seda::text {
 
-const std::vector<NodePosting> InvertedIndex::kEmptyPostings;
 const std::vector<store::PathId> InvertedIndex::kEmptyPaths;
 const std::vector<store::NodeId> InvertedIndex::kEmptyNodes;
 
@@ -41,64 +43,139 @@ std::vector<store::PathId> SubtractSorted(const std::vector<store::PathId>& a,
   return out;
 }
 
+/// Entries of a string-keyed map, sorted by key — fixes the order blocks
+/// are laid out and images written in, so identical builds give identical
+/// arenas and files.
+template <typename Map>
+auto SortedEntries(Map& map) {
+  std::vector<decltype(&*map.begin())> entries;
+  entries.reserve(map.size());
+  for (auto& entry : map) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
+
 }  // namespace
 
+PostingList::PostingList(const uint32_t* block)
+    : size_(block[0]), cols_(block + 1) {
+  deweys_ = cols_ + 4 * size_;
+  positions_ = deweys_ + DeweyWords();
+}
+
+store::NodeId PostingList::node(size_t i) const {
+  std::span<const uint32_t> d = dewey(i);
+  return store::NodeId{doc(i),
+                       xml::DeweyId(std::vector<uint32_t>(d.begin(), d.end()))};
+}
+
+bool PostingList::Before(size_t i, store::DocId doc,
+                         std::span<const uint32_t> dewey_id) const {
+  if (cols_[i] != doc) return cols_[i] < doc;
+  std::span<const uint32_t> d = dewey(i);
+  return std::lexicographical_compare(d.begin(), d.end(), dewey_id.begin(),
+                                      dewey_id.end());
+}
+
+size_t PostingList::LowerBound(size_t from, const store::NodeId& target) const {
+  auto rest = std::views::iota(from, size_);
+  return from + (std::ranges::partition_point(rest, [&](size_t i) {
+                   return Before(i, target.doc, target.dewey.components());
+                 }) - rest.begin());
+}
+
+struct InvertedIndex::PostingColumns {
+  std::vector<uint32_t> docs, paths, dewey_ends, pos_ends, deweys, positions;
+  uint32_t max_tf = 0;
+
+  void Add(store::DocId doc, store::PathId path,
+           const std::vector<uint32_t>& dewey,
+           const std::vector<uint32_t>& pos) {
+    docs.push_back(doc);
+    paths.push_back(path);
+    deweys.insert(deweys.end(), dewey.begin(), dewey.end());
+    dewey_ends.push_back(static_cast<uint32_t>(deweys.size()));
+    positions.insert(positions.end(), pos.begin(), pos.end());
+    pos_ends.push_back(static_cast<uint32_t>(positions.size()));
+    max_tf = std::max(max_tf, static_cast<uint32_t>(pos.size()));
+  }
+};
+
 struct InvertedIndex::DocShard {
-  std::unordered_map<std::string, std::vector<NodePosting>> node_postings;
-  std::unordered_map<std::string, std::vector<store::PathId>> path_postings;
+  /// Content token -> this document's postings of it (node visit order).
+  std::unordered_map<std::string, PostingColumns> postings;
+  /// Direct-text token or tag -> per-path occurrence counts.
   std::unordered_map<std::string, std::unordered_map<store::PathId, uint64_t>>
       path_counts;
-  /// Distinct content tokens of the document (document frequency units).
-  std::unordered_set<std::string> doc_terms;
   /// (path, node) pairs in node visit order.
   std::vector<std::pair<store::PathId, store::NodeId>> path_nodes;
   uint64_t indexed_nodes = 0;
 };
 
+void InvertedIndex::AppendBlock(const PostingList& head,
+                                const std::vector<const PostingColumns*>& parts,
+                                std::vector<uint32_t>* arena) {
+  // Every source as its six columns, in block order: the head's block, then
+  // each part's vectors.
+  using Span = std::span<const uint32_t>;
+  const size_t n = head.size_;
+  std::vector<std::array<Span, 6>> sources = {
+      {Span(head.cols_, n), Span(head.cols_ + n, n),
+       Span(head.cols_ + 2 * n, n), Span(head.cols_ + 3 * n, n),
+       Span(head.deweys_, head.DeweyWords()),
+       Span(head.positions_, head.PositionWords())}};
+  size_t total = n;
+  for (const PostingColumns* part : parts) {
+    sources.push_back({part->docs, part->paths, part->dewey_ends,
+                       part->pos_ends, part->deweys, part->positions});
+    total += part->docs.size();
+  }
+  arena->push_back(static_cast<uint32_t>(total));
+  for (size_t column = 0; column < 6; ++column) {
+    // End offsets (columns 2 and 3) shift past the tails (columns 4 and 5)
+    // of every earlier source; the rest concatenate as they are.
+    const bool ends = column == 2 || column == 3;
+    uint32_t shift = 0;
+    for (const auto& source : sources) {
+      if (!ends) {
+        arena->insert(arena->end(), source[column].begin(),
+                      source[column].end());
+        continue;
+      }
+      for (uint32_t end : source[column]) arena->push_back(shift + end);
+      shift += static_cast<uint32_t>(source[column + 2].size());
+    }
+  }
+}
+
 InvertedIndex::InvertedIndex(const store::DocumentStore* store, ThreadPool* pool)
     : store_(store) {
-  IndexRange(0, pool);
+  IndexRange(0, pool, nullptr);
 }
 
 InvertedIndex::InvertedIndex(const InvertedIndex& base,
                              const store::DocumentStore* store,
                              store::DocId first_new_doc, ThreadPool* pool)
     : store_(store),
+      terms_(base.terms_),
       path_postings_(base.path_postings_),
-      doc_freq_(base.doc_freq_),
-      max_tf_(base.max_tf_),
       nodes_by_path_(base.nodes_by_path_),
       indexed_nodes_(base.indexed_nodes_) {
-  // A base opened from an image may still hold lazy posting spans; the
-  // incremental merge appends to full lists, so decode them all once. The
-  // new epoch is fully in-memory (it does not co-own the image).
-  base.MaterializeAllPostings();
-  base.MaterializePathCounts();
-  node_postings_ = base.node_postings_;
-  path_counts_ = base.path_counts_;
-  IndexRange(first_new_doc, pool);
-}
-
-size_t InvertedIndex::TermCount() const {
-  if (image_ == nullptr) return node_postings_.size();
-  std::shared_lock<std::shared_mutex> lock(lazy_mu_);
-  return node_postings_.size() + lazy_postings_.size();
+  IndexRange(first_new_doc, pool, &base);
 }
 
 std::vector<std::string> InvertedIndex::AllTerms() const {
   std::unordered_set<std::string> seen;
-  {
-    std::shared_lock<std::shared_mutex> lock(lazy_mu_);
-    for (const auto& [term, postings] : node_postings_) seen.insert(term);
-    for (const auto& [term, span] : lazy_postings_) seen.insert(term);
-  }
-  for (const auto& [term, paths] : path_postings_) seen.insert(term);
+  for (const auto& [term, entry] : terms_) seen.insert(term);
+  for (const auto& [term, entry] : path_postings_) seen.insert(term);
   std::vector<std::string> terms(seen.begin(), seen.end());
   std::sort(terms.begin(), terms.end());
   return terms;
 }
 
-void InvertedIndex::IndexRange(store::DocId first_doc, ThreadPool* pool) {
+void InvertedIndex::IndexRange(store::DocId first_doc, ThreadPool* pool,
+                               const InvertedIndex* base) {
   nodes_by_path_.resize(store_->paths().size());
 
   // Stage 1 (parallel): one partial index per document. Documents are
@@ -110,28 +187,71 @@ void InvertedIndex::IndexRange(store::DocId first_doc, ThreadPool* pool) {
     shards[d] = BuildDocShard(static_cast<store::DocId>(first_doc + d));
   });
 
-  // Stage 2 (sequential, deterministic): merge in DocId order, which
-  // reproduces exactly the append order of a single-threaded pass. Terms
-  // whose path postings this range touches are tracked so the normalize
-  // pass below is O(delta vocabulary), not O(total vocabulary) — the point
-  // of an incremental commit.
-  std::unordered_set<std::string> touched_path_terms;
-  for (DocShard& shard : shards) {
-    for (const auto& [term, paths] : shard.path_postings) {
-      touched_path_terms.insert(term);
+  // Stage 2 (sequential, deterministic): visit shards in DocId order, which
+  // reproduces exactly the append order of a single-threaded pass. Each
+  // term collects its per-document parts; frequencies and path counts
+  // accumulate. A term counts once per document toward its document
+  // frequency, no matter how many nodes repeat it.
+  std::unordered_map<std::string, std::vector<const PostingColumns*>> parts;
+  std::unordered_map<std::string, std::unordered_map<store::PathId, uint64_t>>
+      counts;
+  for (const DocShard& shard : shards) {
+    for (const auto& [term, columns] : shard.postings) {
+      TermEntry& entry = terms_[term];
+      entry.doc_freq += 1;
+      entry.max_tf = std::max(entry.max_tf, columns.max_tf);
+      parts[term].push_back(&columns);
     }
-    MergeShard(std::move(shard));
+    for (const auto& [term, shard_counts] : shard.path_counts) {
+      auto& dst = counts[term];
+      for (const auto& [path, count] : shard_counts) dst[path] += count;
+    }
+    for (const auto& [path, node] : shard.path_nodes) {
+      if (path >= nodes_by_path_.size()) nodes_by_path_.resize(path + 1);
+      nodes_by_path_[path].push_back(node);
+    }
+    indexed_nodes_ += shard.indexed_nodes;
   }
 
-  // Finalize touched path postings: sort + dedupe. On the incremental path
-  // the base lists are already sorted-distinct; re-normalizing the
-  // concatenation yields the same set a from-scratch build sorts out of its
-  // raw appends, and untouched terms are already normalized.
-  for (const std::string& term : touched_path_terms) {
-    std::vector<store::PathId>& paths = path_postings_[term];
-    std::sort(paths.begin(), paths.end());
-    paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  // Stage 3: lay out one block per term, in term order — the base's
+  // postings (copied whole, column by column) followed by the new
+  // documents'. The arena is then exactly the one SaveTo writes.
+  static const std::vector<const PostingColumns*> kNoParts;
+  std::vector<uint32_t> arena;
+  arena.reserve(base != nullptr ? base->postings_.size() : 0);
+  for (auto* term : SortedEntries(terms_)) {
+    auto it = parts.find(term->first);
+    term->second.block = static_cast<uint32_t>(arena.size());
+    AppendBlock(base != nullptr ? base->Postings(term->first) : PostingList(),
+                it == parts.end() ? kNoParts : it->second, &arena);
   }
+  postings_.Own(std::move(arena));
+
+  // Path postings, in term order too: each term's new per-path counts merge
+  // into the base's, so its paths stay sorted and distinct with the counts
+  // parallel to them.
+  for (const auto& [term, ignored] : counts) path_postings_[term];
+  std::vector<uint32_t> count_words;
+  count_words.reserve(base != nullptr ? base->path_counts_.size() : 0);
+  for (auto* term : SortedEntries(path_postings_)) {
+    PathEntry& entry = term->second;
+    std::map<store::PathId, uint64_t> merged;
+    for (size_t i = 0; i < entry.paths.size(); ++i) {
+      merged[entry.paths[i]] =
+          base->CountAt(entry.counts + static_cast<uint32_t>(i));
+    }
+    if (auto touched = counts.find(term->first); touched != counts.end()) {
+      for (const auto& [path, count] : touched->second) merged[path] += count;
+    }
+    entry.paths.clear();
+    entry.counts = static_cast<uint32_t>(count_words.size() / 2);
+    for (const auto& [path, count] : merged) {
+      entry.paths.push_back(path);
+      count_words.push_back(static_cast<uint32_t>(count));
+      count_words.push_back(static_cast<uint32_t>(count >> 32));
+    }
+  }
+  path_counts_.Own(std::move(count_words));
 }
 
 InvertedIndex::DocShard InvertedIndex::BuildDocShard(store::DocId doc) const {
@@ -145,11 +265,20 @@ InvertedIndex::DocShard InvertedIndex::BuildDocShard(store::DocId doc) const {
     shard.path_nodes.emplace_back(path, id);
     ++shard.indexed_nodes;
 
+    // Node postings keep the full content(n) semantics of Definition 3:
+    // positions per distinct token of the node's whole content.
     std::vector<std::string> tokens = Tokenize(node->ContentString());
+    std::unordered_map<std::string, std::vector<uint32_t>> positions;
+    for (uint32_t pos = 0; pos < tokens.size(); ++pos) {
+      positions[tokens[pos]].push_back(pos);
+    }
+    for (const auto& [term, pos_list] : positions) {
+      shard.postings[term].Add(doc, path, id.dewey.components(), pos_list);
+    }
+
     // Path postings (Fig. 8) index only the text a node *directly* contains,
     // so "United States" maps to trade_country/name leaf paths rather than to
-    // every ancestor context; node postings keep the full content(n)
-    // semantics of Definition 3.
+    // every ancestor context.
     std::string direct_text;
     if (node->kind() == xml::NodeKind::kAttribute) {
       direct_text = node->text();
@@ -160,84 +289,19 @@ InvertedIndex::DocShard InvertedIndex::BuildDocShard(store::DocId doc) const {
         }
       }
     }
-    IndexNode(&shard, id, path, tokens, Tokenize(direct_text));
+    for (const std::string& term : Tokenize(direct_text)) {
+      shard.path_counts[term][path] += 1;
+    }
 
     // Tag names are indexed as keywords too (paper §5), pointing at the
     // node's own path.
     std::string tag = NormalizeToken(node->name());
-    if (!tag.empty()) {
-      shard.path_postings[tag].push_back(path);
-      shard.path_counts[tag][path] += 1;
-    }
-
-    // Document frequency per content token: a term counts once per document,
-    // no matter how many nodes repeat it (ancestors repeat descendant text).
-    shard.doc_terms.insert(tokens.begin(), tokens.end());
+    if (!tag.empty()) shard.path_counts[tag][path] += 1;
   });
   return shard;
 }
 
-void InvertedIndex::MergeShard(DocShard&& shard) {
-  for (auto& [term, postings] : shard.node_postings) {
-    uint32_t& max_tf = max_tf_[term];
-    for (const NodePosting& p : postings) {
-      max_tf = std::max(max_tf, static_cast<uint32_t>(p.positions.size()));
-    }
-    auto& dst = node_postings_[term];
-    dst.insert(dst.end(), std::make_move_iterator(postings.begin()),
-               std::make_move_iterator(postings.end()));
-  }
-  for (auto& [term, paths] : shard.path_postings) {
-    auto& dst = path_postings_[term];
-    dst.insert(dst.end(), paths.begin(), paths.end());
-  }
-  for (auto& [term, counts] : shard.path_counts) {
-    auto& dst = path_counts_[term];
-    for (const auto& [path, count] : counts) dst[path] += count;
-  }
-  for (const std::string& term : shard.doc_terms) doc_freq_[term] += 1;
-  for (const auto& [path, node] : shard.path_nodes) {
-    if (path >= nodes_by_path_.size()) nodes_by_path_.resize(path + 1);
-    nodes_by_path_[path].push_back(node);
-  }
-  indexed_nodes_ += shard.indexed_nodes;
-}
-
-void InvertedIndex::IndexNode(DocShard* shard, const store::NodeId& id,
-                              store::PathId path,
-                              const std::vector<std::string>& tokens,
-                              const std::vector<std::string>& direct_tokens) {
-  // Gather positions per distinct token in this node.
-  std::unordered_map<std::string, std::vector<uint32_t>> positions;
-  for (uint32_t pos = 0; pos < tokens.size(); ++pos) {
-    positions[tokens[pos]].push_back(pos);
-  }
-  for (auto& [term, pos_list] : positions) {
-    NodePosting posting;
-    posting.node = id;
-    posting.path = path;
-    posting.positions = std::move(pos_list);
-    shard->node_postings[term].push_back(std::move(posting));
-  }
-  for (const std::string& term : direct_tokens) {
-    shard->path_postings[term].push_back(path);
-    shard->path_counts[term][path] += 1;
-  }
-}
-
 namespace {
-
-/// Keys of a string-keyed map, sorted — fixes an iteration order so images
-/// are byte-stable across runs and identical builds hash to identical files.
-template <typename Map>
-std::vector<const std::string*> SortedKeys(const Map& map) {
-  std::vector<const std::string*> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  return keys;
-}
 
 void PutNodeId(persist::ImageWriter* writer, const store::NodeId& node) {
   writer->PutU32(node.doc);
@@ -249,65 +313,60 @@ store::NodeId GetNodeId(persist::SectionCursor* cursor) {
   return store::NodeId{doc, xml::DeweyId(cursor->GetU32Array())};
 }
 
+Status Malformed(const char* what) {
+  return Status::ParseError(std::string("image index section malformed: ") +
+                            what);
+}
+
+/// Structural check of the posting block at word `block` of `arena`: the
+/// columns and both tails lie inside the arena and the end offsets are
+/// monotone, so every PostingList read stays in bounds. Content (document
+/// order, node resolution, frequencies) is the auditor's job.
+Status ValidateBlock(const persist::U32View& arena, uint32_t block) {
+  const uint64_t words = arena.size();
+  if (block >= words) return Malformed("term offset past the posting arena");
+  const uint64_t n = arena[block];
+  const uint64_t cols = uint64_t{block} + 1;
+  if (cols + 4 * n > words) return Malformed("posting columns past the arena");
+  uint64_t block_end = cols + 4 * n;
+  for (uint64_t column = 2; column <= 3; ++column) {  // dewey_end, pos_end
+    uint64_t end = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+      uint32_t next = arena[cols + column * n + i];
+      if (next < end) return Malformed("posting end offsets not monotone");
+      end = next;
+    }
+    block_end += end;  // past that column's tail
+  }
+  if (block_end > words) return Malformed("posting tails past the arena");
+  return Status::OK();
+}
+
 }  // namespace
 
 Status InvertedIndex::SaveTo(persist::ImageWriter* writer) const {
-  // An index that was itself opened from an image may still hold lazy spans
-  // (into a mapping this writer might even be replacing) — decode them all.
-  MaterializeAllPostings();
-  MaterializePathCounts();
-
+  // Each arena leads its section, keeping it 4-byte aligned for LoadFrom to
+  // borrow; the tables follow in sorted term order.
   writer->BeginSection(persist::SectionId::kIndexTerms);
-  writer->PutU64(node_postings_.size());
-  for (const std::string* term : SortedKeys(node_postings_)) {
-    writer->PutString(*term);
-    // Each posting list is a skippable blob, so Load can keep it as an
-    // offset-addressed lazy segment of the mapping.
-    writer->BeginBlob();
-    const std::vector<NodePosting>& postings = node_postings_.at(*term);
-    writer->PutU64(postings.size());
-    for (const NodePosting& posting : postings) {
-      PutNodeId(writer, posting.node);
-      writer->PutU32(posting.path);
-      writer->PutU32Array(posting.positions);
-    }
-    writer->EndBlob();
-  }
-  writer->PutU64(doc_freq_.size());
-  for (const std::string* term : SortedKeys(doc_freq_)) {
-    writer->PutString(*term);
-    writer->PutU64(doc_freq_.at(*term));
-  }
-  writer->PutU64(max_tf_.size());
-  for (const std::string* term : SortedKeys(max_tf_)) {
-    writer->PutString(*term);
-    writer->PutU32(max_tf_.at(*term));
+  writer->PutU32Span(postings_.data(), postings_.size());
+  writer->PutU64(terms_.size());
+  for (const auto* term : SortedEntries(terms_)) {
+    writer->PutString(term->first);
+    writer->PutU32(term->second.block);
+    writer->PutU32(term->second.max_tf);
+    writer->PutU64(term->second.doc_freq);
   }
   SEDA_RETURN_IF_ERROR(writer->EndSection());
 
   writer->BeginSection(persist::SectionId::kIndexPaths);
+  writer->PutU32Span(path_counts_.data(), path_counts_.size());
   writer->PutU64(path_postings_.size());
-  for (const std::string* term : SortedKeys(path_postings_)) {
-    writer->PutString(*term);
-    writer->PutU32Array(path_postings_.at(*term));
+  for (const auto* term : SortedEntries(path_postings_)) {
+    writer->PutString(term->first);
+    writer->PutU32Array(term->second.paths);
+    writer->PutU32(term->second.counts);
+    writer->PutU32(static_cast<uint32_t>(term->second.paths.size()));
   }
-  // The whole count table is one skippable blob: reopen keeps it as a lazy
-  // segment until the first TermPathCount() call (ablation-only data).
-  writer->BeginBlob();
-  writer->PutU64(path_counts_.size());
-  for (const std::string* term : SortedKeys(path_counts_)) {
-    writer->PutString(*term);
-    const auto& counts = path_counts_.at(*term);
-    std::vector<std::pair<store::PathId, uint64_t>> sorted(counts.begin(),
-                                                           counts.end());
-    std::sort(sorted.begin(), sorted.end());
-    writer->PutU32(static_cast<uint32_t>(sorted.size()));
-    for (const auto& [path, count] : sorted) {
-      writer->PutU32(path);
-      writer->PutU64(count);
-    }
-  }
-  writer->EndBlob();
   writer->PutU64(nodes_by_path_.size());
   for (const std::vector<store::NodeId>& nodes : nodes_by_path_) {
     writer->PutU64(nodes.size());
@@ -317,65 +376,48 @@ Status InvertedIndex::SaveTo(persist::ImageWriter* writer) const {
   return writer->EndSection();
 }
 
-/// Decodes one term's posting-list blob (the format SaveTo frames).
-static std::vector<NodePosting> DecodePostings(persist::SectionCursor* blob) {
-  std::vector<NodePosting> postings;
-  uint64_t posting_count = blob->GetU64();
-  postings.reserve(blob->BoundedCount(posting_count, 16));
-  for (uint64_t p = 0; p < posting_count && !blob->failed(); ++p) {
-    NodePosting posting;
-    posting.node = GetNodeId(blob);
-    posting.path = blob->GetU32();
-    posting.positions = blob->GetU32Array();
-    postings.push_back(std::move(posting));
-  }
-  if (blob->failed()) postings.clear();  // unreachable behind the CRC pass
-  return postings;
-}
-
 Result<std::unique_ptr<InvertedIndex>> InvertedIndex::LoadFrom(
     std::shared_ptr<const persist::MappedImage> image,
     const store::DocumentStore* store) {
   std::unique_ptr<InvertedIndex> index(new InvertedIndex(store, LoadTag{}));
 
+  // One linear pass: decode the term table and check each term's block as
+  // it is read; the blocks themselves stay in the mapping.
   SEDA_ASSIGN_OR_RETURN(persist::SectionCursor terms,
                         persist::OpenSection(*image, persist::SectionId::kIndexTerms));
+  auto [arena, arena_words] = terms.GetU32Span();
+  index->postings_.Borrow(arena, arena_words);
   uint64_t term_count = terms.GetU64();
-  index->lazy_postings_.reserve(terms.BoundedCount(term_count, 12));
+  index->terms_.reserve(terms.BoundedCount(term_count, 20));
   for (uint64_t t = 0; t < term_count && !terms.failed(); ++t) {
     std::string term = terms.GetString();
-    // The posting list itself stays an offset-addressed segment of the
-    // mapping; only this term-table head is materialized now.
-    persist::SectionCursor blob = terms.GetBlob();
-    index->lazy_postings_.emplace(
-        std::move(term), LazySpan{blob.data(), blob.remaining()});
-  }
-  uint64_t df_count = terms.GetU64();
-  index->doc_freq_.reserve(terms.BoundedCount(df_count, 12));
-  for (uint64_t t = 0; t < df_count && !terms.failed(); ++t) {
-    std::string term = terms.GetString();
-    index->doc_freq_[std::move(term)] = terms.GetU64();
-  }
-  uint64_t tf_count = terms.GetU64();
-  index->max_tf_.reserve(terms.BoundedCount(tf_count, 8));
-  for (uint64_t t = 0; t < tf_count && !terms.failed(); ++t) {
-    std::string term = terms.GetString();
-    index->max_tf_[std::move(term)] = terms.GetU32();
+    // Braced initializers evaluate in order: block, max_tf, doc_freq.
+    TermEntry entry{terms.GetU32(), terms.GetU32(), terms.GetU64()};
+    if (terms.failed()) break;
+    SEDA_RETURN_IF_ERROR(ValidateBlock(index->postings_, entry.block));
+    index->terms_.emplace(std::move(term), entry);
   }
   SEDA_RETURN_IF_ERROR(terms.status());
 
   SEDA_ASSIGN_OR_RETURN(persist::SectionCursor paths,
                         persist::OpenSection(*image, persist::SectionId::kIndexPaths));
+  auto [count_words, count_word_count] = paths.GetU32Span();
+  index->path_counts_.Borrow(count_words, count_word_count);
+  const uint64_t count_capacity = count_word_count / 2;
   uint64_t path_term_count = paths.GetU64();
-  index->path_postings_.reserve(paths.BoundedCount(path_term_count, 8));
+  index->path_postings_.reserve(paths.BoundedCount(path_term_count, 16));
   for (uint64_t t = 0; t < path_term_count && !paths.failed(); ++t) {
     std::string term = paths.GetString();
-    index->path_postings_[std::move(term)] = paths.GetU32Array();
-  }
-  {
-    persist::SectionCursor counts_blob = paths.GetBlob();
-    index->lazy_path_counts_ =
-        LazySpan{counts_blob.data(), counts_blob.remaining()};
+    PathEntry entry{paths.GetU32Array(), paths.GetU32()};
+    uint32_t count_length = paths.GetU32();
+    if (paths.failed()) break;
+    if (count_length != entry.paths.size()) {
+      return Malformed("path count array disagrees with its path list");
+    }
+    if (uint64_t{entry.counts} + count_length > count_capacity) {
+      return Malformed("path count array past the count arena");
+    }
+    index->path_postings_.emplace(std::move(term), std::move(entry));
   }
   // The loop bound must be the clamped size: with a garbage count the
   // cursor fails a few reads in, and indexing past the resize would write
@@ -392,102 +434,46 @@ Result<std::unique_ptr<InvertedIndex>> InvertedIndex::LoadFrom(
   }
   index->indexed_nodes_ = paths.GetU64();
   SEDA_RETURN_IF_ERROR(paths.status());
-  // Co-own the mapping: every LazySpan above points into it.
+  // Co-own the mapping: both arenas borrow from it.
   index->image_ = std::move(image);
   return index;
 }
 
-void InvertedIndex::MaterializeAllPostings() const {
-  if (image_ == nullptr) return;
-  std::unique_lock<std::shared_mutex> lock(lazy_mu_);
-  for (const auto& [term, span] : lazy_postings_) {
-    persist::SectionCursor blob(span.data, span.size,
-                                persist::SectionId::kIndexTerms);
-    node_postings_[term] = DecodePostings(&blob);
-  }
-  lazy_postings_.clear();
-}
-
-void InvertedIndex::MaterializePathCounts() const {
-  if (image_ == nullptr) return;
-  {
-    // Fast path once decoded: don't serialize every TermPathCount call (or
-    // block concurrent Postings readers) behind the exclusive lock.
-    std::shared_lock<std::shared_mutex> lock(lazy_mu_);
-    if (lazy_path_counts_.data == nullptr) return;
-  }
-  std::unique_lock<std::shared_mutex> lock(lazy_mu_);
-  if (lazy_path_counts_.data == nullptr) return;  // raced another decoder
-  persist::SectionCursor counts(lazy_path_counts_.data, lazy_path_counts_.size,
-                                persist::SectionId::kIndexPaths);
-  uint64_t count_term_count = counts.GetU64();
-  path_counts_.reserve(counts.BoundedCount(count_term_count, 8));
-  for (uint64_t t = 0; t < count_term_count && !counts.failed(); ++t) {
-    std::string term = counts.GetString();
-    uint32_t pair_count = counts.GetU32();
-    auto& table = path_counts_[std::move(term)];
-    table.reserve(counts.BoundedCount(pair_count, 12));
-    for (uint32_t p = 0; p < pair_count && !counts.failed(); ++p) {
-      uint32_t path = counts.GetU32();
-      table[path] = counts.GetU64();
-    }
-  }
-  lazy_path_counts_ = LazySpan{};
-}
-
-const std::vector<NodePosting>& InvertedIndex::Postings(const std::string& term) const {
-  if (image_ == nullptr) {  // built in memory: single-writer, no locking
-    auto it = node_postings_.find(term);
-    return it == node_postings_.end() ? kEmptyPostings : it->second;
-  }
-  {
-    std::shared_lock<std::shared_mutex> lock(lazy_mu_);
-    auto it = node_postings_.find(term);
-    // References into node_postings_ stay valid across later inserts
-    // (unordered_map guarantees reference stability), so returning after
-    // unlock is safe.
-    if (it != node_postings_.end()) return it->second;
-    if (lazy_postings_.find(term) == lazy_postings_.end()) {
-      return kEmptyPostings;
-    }
-  }
-  // First touch of this term: decode its segment of the mapping.
-  std::unique_lock<std::shared_mutex> lock(lazy_mu_);
-  auto it = node_postings_.find(term);
-  if (it != node_postings_.end()) return it->second;  // raced another reader
-  auto lazy = lazy_postings_.find(term);
-  if (lazy == lazy_postings_.end()) return kEmptyPostings;
-  persist::SectionCursor blob(lazy->second.data, lazy->second.size,
-                              persist::SectionId::kIndexTerms);
-  std::vector<NodePosting>& postings = node_postings_[term];
-  postings = DecodePostings(&blob);
-  lazy_postings_.erase(lazy);
-  return postings;
+PostingList InvertedIndex::Postings(const std::string& term) const {
+  auto it = terms_.find(term);
+  if (it == terms_.end()) return PostingList();
+  return PostingList(postings_.data() + it->second.block);
 }
 
 const std::vector<store::PathId>& InvertedIndex::TermPaths(
     const std::string& term) const {
   auto it = path_postings_.find(term);
-  return it == path_postings_.end() ? kEmptyPaths : it->second;
+  return it == path_postings_.end() ? kEmptyPaths : it->second.paths;
+}
+
+uint64_t InvertedIndex::CountAt(uint32_t index) const {
+  const uint32_t* words = path_counts_.data() + 2 * size_t{index};
+  return words[0] | uint64_t{words[1]} << 32;
 }
 
 uint64_t InvertedIndex::TermPathCount(const std::string& term,
                                       store::PathId path) const {
-  MaterializePathCounts();
-  auto it = path_counts_.find(term);
-  if (it == path_counts_.end()) return 0;
-  auto jt = it->second.find(path);
-  return jt == it->second.end() ? 0 : jt->second;
+  auto it = path_postings_.find(term);
+  if (it == path_postings_.end()) return 0;
+  const std::vector<store::PathId>& paths = it->second.paths;
+  auto at = std::lower_bound(paths.begin(), paths.end(), path);
+  if (at == paths.end() || *at != path) return 0;
+  return CountAt(it->second.counts + static_cast<uint32_t>(at - paths.begin()));
 }
 
 uint64_t InvertedIndex::DocumentFrequency(const std::string& term) const {
-  auto it = doc_freq_.find(term);
-  return it == doc_freq_.end() ? 0 : it->second;
+  auto it = terms_.find(term);
+  return it == terms_.end() ? 0 : it->second.doc_freq;
 }
 
 uint32_t InvertedIndex::MaxTermFrequency(const std::string& term) const {
-  auto it = max_tf_.find(term);
-  return it == max_tf_.end() ? 0 : it->second;
+  auto it = terms_.find(term);
+  return it == terms_.end() ? 0 : it->second.max_tf;
 }
 
 double InvertedIndex::Idf(const std::string& term) const {

@@ -4,12 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "persist/reader.h"
 #include "store/document_store.h"
 #include "text/text_expr.h"
 
@@ -19,18 +20,65 @@ class ThreadPool;
 
 namespace seda::persist {
 class ImageWriter;
-class MappedImage;
-}  // namespace seda::persist
+}
 
 namespace seda::text {
 
-/// One node entry in a term's posting list. Postings are kept in document
-/// order (DocId, then Dewey), the order the holistic twig join consumes.
-struct NodePosting {
-  store::NodeId node;
-  store::PathId path = store::kInvalidPathId;
-  /// Positions of the term within the node's token stream (for phrases).
-  std::vector<uint32_t> positions;
+/// Read-only view of one term's node postings in document order (DocId, then
+/// Dewey), reading one flat all-u32 block in place:
+///
+///   [n] [doc x n] [path x n] [dewey_end x n] [pos_end x n]
+///   [Dewey components ...] [positions ...]
+///
+/// End offsets are exclusive, into the two tails: posting i's Dewey ID is
+/// [dewey_end[i-1], dewey_end[i]), its ascending in-node positions (count =
+/// term frequency) [pos_end[i-1], pos_end[i]). A built index owns its blocks,
+/// an opened one borrows them from the image; views live as long as it.
+class PostingList {
+ public:
+  PostingList() = default;
+  /// Views the block that starts at `block` (structurally valid: built by
+  /// the index, or checked by InvertedIndex::LoadFrom).
+  explicit PostingList(const uint32_t* block);
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  store::DocId doc(size_t i) const { return cols_[i]; }
+  store::PathId path(size_t i) const { return cols_[size_ + i]; }
+  std::span<const uint32_t> dewey(size_t i) const {
+    return Slice(deweys_, cols_ + 2 * size_, i);
+  }
+  std::span<const uint32_t> positions(size_t i) const {
+    return Slice(positions_, cols_ + 3 * size_, i);
+  }
+  /// Posting i's node as an owning NodeId.
+  store::NodeId node(size_t i) const;
+
+  /// True iff posting i's node sorts before (doc, dewey) in document order.
+  bool Before(size_t i, store::DocId doc,
+              std::span<const uint32_t> dewey) const;
+
+  /// First index in [from, size()) whose node is >= target (binary search);
+  /// size() when none is.
+  size_t LowerBound(size_t from, const store::NodeId& target) const;
+
+ private:
+  friend class InvertedIndex;  // copies whole columns when extending blocks
+
+  uint32_t DeweyWords() const { return size_ == 0 ? 0 : cols_[3 * size_ - 1]; }
+  uint32_t PositionWords() const {
+    return size_ == 0 ? 0 : cols_[4 * size_ - 1];
+  }
+  static std::span<const uint32_t> Slice(const uint32_t* tail,
+                                         const uint32_t* ends, size_t i) {
+    uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return {tail + begin, ends[i] - begin};
+  }
+
+  size_t size_ = 0;
+  const uint32_t* cols_ = nullptr;  ///< doc, path, dewey_end, pos_end columns
+  const uint32_t* deweys_ = nullptr;
+  const uint32_t* positions_ = nullptr;
 };
 
 /// A scored node match produced by evaluating a full-text expression.
@@ -79,31 +127,32 @@ class InvertedIndex {
   /// `first_new_doc` documents of a store whose document prefix is identical
   /// to `store`) and indexes only documents [first_new_doc, DocumentCount).
   /// Because new DocIds sort after every base DocId, appending the new
-  /// shards in DocId order reproduces exactly the postings a from-scratch
-  /// build over `store` would produce — same lists, same max-tf, same
-  /// document frequencies — without re-tokenizing a single old document.
+  /// documents' postings to each copied block reproduces exactly the blocks
+  /// a from-scratch build over `store` would produce — same lists, same
+  /// max-tf, same document frequencies — without re-tokenizing a single old
+  /// document. `base` (built or opened) is only read, never modified.
   InvertedIndex(const InvertedIndex& base, const store::DocumentStore* store,
                 store::DocId first_new_doc, ThreadPool* pool);
 
   const store::DocumentStore& store() const { return *store_; }
 
-  /// Number of distinct terms indexed (materialized + still-lazy).
-  size_t TermCount() const;
+  /// Number of distinct terms with node postings.
+  size_t TermCount() const { return terms_.size(); }
 
   /// Sorted union of every indexed term across both posting families —
-  /// content/phrase terms with node postings (materialized or still-lazy)
-  /// and tag/direct-text terms that only appear in the path index. The
-  /// audit layer's term walk; not a query-path API.
+  /// content/phrase terms with node postings and tag/direct-text terms that
+  /// only appear in the path index. The audit layer's term walk; not a
+  /// query-path API.
   std::vector<std::string> AllTerms() const;
 
   /// Document-order node postings for a term; empty when absent.
-  const std::vector<NodePosting>& Postings(const std::string& term) const;
+  PostingList Postings(const std::string& term) const;
 
   /// Distinct paths containing `term` in content or as the last tag
   /// (sorted). The Figure 8 path index.
   const std::vector<store::PathId>& TermPaths(const std::string& term) const;
 
-  /// Per-(term, path) occurrence count kept inside the path postings — the
+  /// Per-(term, path) occurrence count kept beside the path postings — the
   /// alternative layout discussed in §5. Returns 0 when absent.
   uint64_t TermPathCount(const std::string& term, store::PathId path) const;
 
@@ -131,17 +180,15 @@ class InvertedIndex {
   /// Total indexed element/attribute node count.
   uint64_t IndexedNodeCount() const { return indexed_nodes_; }
 
-  /// Persistence hooks (src/persist/): writes the term and path posting
-  /// sections (terms sorted, posting lists as skippable blobs) /
-  /// reconstructs an index over `store` without re-tokenizing a single
-  /// document. Load materializes only the pointer-bearing heads (term
-  /// table, frequencies, path postings); each term's node posting list stays
-  /// an offset-addressed segment of the mmap'd image — which the index
-  /// co-owns — until the first Postings() call decodes it, under a shared
-  /// mutex, into the same in-memory form a built index carries. The loaded
-  /// index serves byte-identical postings, frequencies and scores; it also
-  /// works as the `base` of the incremental constructor (which first forces
-  /// full materialization), so commits can extend a loaded epoch.
+  /// Persistence hooks (src/persist/, format v2). Both arenas lead their
+  /// sections (kIndexTerms: posting blocks; kIndexPaths: path counts), so
+  /// they stay 4-byte aligned, and go out exactly as held: a build lays its
+  /// blocks out in sorted term order, the order images keep. LoadFrom
+  /// borrows both arenas from the mapping — which the index co-owns, as the
+  /// CSR does — after one linear structural pass (offsets inside the arena,
+  /// end offsets monotone and inside their block, count arrays as long as
+  /// their path lists), so a hostile image is a clean ParseError. Only the
+  /// term table, path lists and the path -> nodes table are decoded.
   Status SaveTo(persist::ImageWriter* writer) const;
   static Result<std::unique_ptr<InvertedIndex>> LoadFrom(
       std::shared_ptr<const persist::MappedImage> image,
@@ -152,56 +199,52 @@ class InvertedIndex {
   struct LoadTag {};
   InvertedIndex(const store::DocumentStore* store, LoadTag) : store_(store) {}
 
-  /// A not-yet-decoded posting list: an offset-addressed span of the image.
-  struct LazySpan {
-    const uint8_t* data = nullptr;
-    size_t size = 0;
+  /// A term with node postings: its block plus the scorer's frequencies.
+  struct TermEntry {
+    uint32_t block = 0;  ///< word offset of the posting block in postings_
+    uint32_t max_tf = 0;
+    uint64_t doc_freq = 0;
+  };
+  /// A term's sorted, distinct paths and where their parallel counts start.
+  struct PathEntry {
+    std::vector<store::PathId> paths;
+    uint32_t counts = 0;  ///< count index (not word offset) in path_counts_
   };
 
-  /// Decodes every still-lazy posting list (serialization and the
-  /// incremental constructor need the full map).
-  void MaterializeAllPostings() const;
-
-  /// Decodes the per-(term, path) count table on first TermPathCount() use —
-  /// it backs only the §5 ablation comparison, so reopen never pays for it.
-  void MaterializePathCounts() const;
   /// Per-document partial index: every container appends in node visit order,
   /// so concatenating shards in DocId order reproduces the sequential build.
   struct DocShard;
+  /// One document's postings of one term, column by column.
+  struct PostingColumns;
 
-  /// Shards, merges and finalizes documents [first_doc, DocumentCount): the
-  /// shared tail of both the from-scratch and the incremental constructor.
-  void IndexRange(store::DocId first_doc, ThreadPool* pool);
+  /// Appends to `arena` one block holding `head`'s postings followed by
+  /// every part's, in order (the parts' DocIds all sort after `head`'s).
+  static void AppendBlock(const PostingList& head,
+                          const std::vector<const PostingColumns*>& parts,
+                          std::vector<uint32_t>* arena);
+
+  /// Both constructors' shared tail: shards, merges and lays out documents
+  /// [first_doc, DocumentCount) on top of `base` (null: from scratch).
+  void IndexRange(store::DocId first_doc, ThreadPool* pool,
+                  const InvertedIndex* base);
   DocShard BuildDocShard(store::DocId doc) const;
-  void MergeShard(DocShard&& shard);
-  static void IndexNode(DocShard* shard, const store::NodeId& id,
-                        store::PathId path,
-                        const std::vector<std::string>& tokens,
-                        const std::vector<std::string>& direct_tokens);
+  /// The count at `index` of path_counts_ (a word pair).
+  uint64_t CountAt(uint32_t index) const;
 
   const store::DocumentStore* store_;
-  /// Keeps the mapped image (and with it every LazySpan) alive for an index
-  /// opened from disk; null for a built index.
+  /// Keeps the mapped image alive for an index opened from disk (both
+  /// arenas may borrow from it); null for a built index.
   std::shared_ptr<const persist::MappedImage> image_;
-  /// Terms whose posting list has not been decoded yet. Guarded by lazy_mu_
-  /// together with node_postings_ whenever image_ is set; a built index
-  /// never takes the lock.
-  mutable std::unordered_map<std::string, LazySpan> lazy_postings_;
-  /// Not-yet-decoded per-(term, path) count table (empty span = decoded or
-  /// built in memory). Guarded by lazy_mu_ like the posting spans.
-  mutable LazySpan lazy_path_counts_;
-  mutable std::shared_mutex lazy_mu_;
-  mutable std::unordered_map<std::string, std::vector<NodePosting>> node_postings_;
-  std::unordered_map<std::string, std::vector<store::PathId>> path_postings_;
-  mutable std::unordered_map<std::string,
-                             std::unordered_map<store::PathId, uint64_t>>
-      path_counts_;
-  std::unordered_map<std::string, uint64_t> doc_freq_;
-  std::unordered_map<std::string, uint32_t> max_tf_;
+  std::unordered_map<std::string, TermEntry> terms_;
+  /// Every term's posting block, back to back.
+  persist::U32View postings_;
+  std::unordered_map<std::string, PathEntry> path_postings_;
+  /// Per-(term, path) counts: u64s as (low, high) u32 word pairs, so the
+  /// arena stays all-u32 like the posting blocks.
+  persist::U32View path_counts_;
   std::vector<std::vector<store::NodeId>> nodes_by_path_;
   uint64_t indexed_nodes_ = 0;
 
-  static const std::vector<NodePosting> kEmptyPostings;
   static const std::vector<store::PathId> kEmptyPaths;
   static const std::vector<store::NodeId> kEmptyNodes;
 };

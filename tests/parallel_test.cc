@@ -136,9 +136,13 @@ std::string FinalizeFingerprint(const core::Seda& seda) {
                            "trade_country", "delta"}) {
     out += std::string("t:") + term;
     out += " df=" + std::to_string(seda.index().DocumentFrequency(term));
-    for (const auto& posting : seda.index().Postings(term)) {
-      out += " " + posting.node.ToString() + "/" + std::to_string(posting.path);
-      for (uint32_t pos : posting.positions) out += "." + std::to_string(pos);
+    const text::PostingList postings = seda.index().Postings(term);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      out += " " + postings.node(i).ToString() + "/" +
+             std::to_string(postings.path(i));
+      for (uint32_t pos : postings.positions(i)) {
+        out += "." + std::to_string(pos);
+      }
     }
     out += " paths:";
     for (auto path : seda.index().TermPaths(term)) {

@@ -2,15 +2,18 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/seda.h"
+#include "core/session.h"
 #include "data/generators.h"
 #include "graph/csr.h"
 #include "graph/data_graph.h"
@@ -97,9 +100,13 @@ std::string EpochFingerprint(const Snapshot& snap) {
     out += std::string("t:") + term;
     out += " df=" + std::to_string(snap.index().DocumentFrequency(term));
     out += " maxtf=" + std::to_string(snap.index().MaxTermFrequency(term));
-    for (const auto& posting : snap.index().Postings(term)) {
-      out += " " + posting.node.ToString() + "/" + std::to_string(posting.path);
-      for (uint32_t pos : posting.positions) out += "." + std::to_string(pos);
+    const text::PostingList postings = snap.index().Postings(term);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      out += " " + postings.node(i).ToString() + "/" +
+             std::to_string(postings.path(i));
+      for (uint32_t pos : postings.positions(i)) {
+        out += "." + std::to_string(pos);
+      }
     }
     out += " paths:";
     for (auto path : snap.index().TermPaths(term)) {
@@ -298,6 +305,107 @@ TEST(PersistTest, ConcurrentReadersOpenAndQueryOneImage) {
   std::remove(path.c_str());
 }
 
+TEST(PersistTest, ReadersOfAnOpenedEpochMatchASingleEpochRunDuringCommit) {
+  // Reference: the single-epoch instance that wrote the image.
+  Seda writer;
+  data::PopulateScenario(writer.mutable_store());
+  ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
+  std::string path = TempImagePath("commit_race");
+  ASSERT_TRUE(writer.Save(path).ok());
+  const std::vector<std::string> queries = {kQuery1, R"((*, "China"))",
+                                            R"((name, "Mexico") AND (GDP, *))"};
+  std::vector<std::string> expected;
+  for (const std::string& query : queries) {
+    auto response = writer.Search(query);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    expected.push_back(ResponseFingerprint(response.value(), writer.store()));
+  }
+
+  Seda loaded;
+  ASSERT_TRUE(loaded.Open(path).ok());
+  const std::string base_before = EpochFingerprint(*loaded.snapshot());
+  constexpr int kReaders = 3;
+  std::vector<Session> sessions;  // all pinned to the opened epoch
+  for (int r = 0; r < kReaders; ++r) {
+    auto session = loaded.NewSession();
+    ASSERT_TRUE(session.ok());
+    sessions.push_back(std::move(session.value()));
+  }
+
+  // Readers scan the opened epoch's posting blocks (borrowed from the
+  // mapping) while the commits below build new epochs on top of it — the
+  // incremental index constructor reads those same blocks.
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> checks{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Session& session = sessions[r];
+      do {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto response = session.Search(queries[q]);
+          if (!response.ok() ||
+              ResponseFingerprint(response.value(),
+                                  session.snapshot().store()) != expected[q]) {
+            mismatches.fetch_add(1);
+          }
+          checks.fetch_add(1);
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  constexpr int kCommits = 3;
+  for (int c = 0; c < kCommits; ++c) {
+    for (int d = 0; d < 2; ++d) {
+      int i = 2 * c + d;
+      std::string name = "delta-" + std::to_string(i);
+      ASSERT_TRUE(loaded.AddXml(DeltaDoc(i), name).ok());
+    }
+    auto info = loaded.Commit();
+    EXPECT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_TRUE(info.ok() && info->incremental);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& thread : readers) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(checks.load(), kReaders * static_cast<int>(queries.size()));
+  EXPECT_EQ(loaded.snapshot()->epoch(), 1u + kCommits);
+  // The commits left the epoch they were built on untouched.
+  EXPECT_EQ(EpochFingerprint(sessions[0].snapshot()), base_before);
+  std::remove(path.c_str());
+}
+
+TEST(PersistFormatTest, EmptyU32ArraysRoundTrip) {
+  // An empty array has no bytes behind its count; decoding it must not
+  // copy from (or into) a null buffer.
+  std::string path = TempImagePath("empty_arrays");
+  persist::ImageWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  writer.BeginSection(persist::SectionId::kOptions);
+  writer.PutU32Array({});
+  writer.PutU32Array({7, 8});
+  writer.PutU32Span(nullptr, 0);
+  writer.PutU32(42);
+  ASSERT_TRUE(writer.EndSection().ok());
+  ASSERT_TRUE(writer.Finish(1).ok());
+
+  auto image = persist::MappedImage::Open(path);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  auto cursor =
+      persist::OpenSection(*image.value(), persist::SectionId::kOptions);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_TRUE(cursor.value().GetU32Array().empty());
+  EXPECT_EQ(cursor.value().GetU32Array(), (std::vector<uint32_t>{7, 8}));
+  EXPECT_EQ(cursor.value().GetU32Span().second, 0u);
+  EXPECT_EQ(cursor.value().GetU32(), 42u);
+  EXPECT_EQ(cursor.value().remaining(), 0u);
+  EXPECT_TRUE(cursor.value().status().ok());
+  std::remove(path.c_str());
+}
+
 class PersistCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -411,10 +519,71 @@ TEST_F(PersistCorruptionTest, RejectsHostileSectionCountWithValidCrc) {
   EXPECT_FALSE(status.ok()) << "hostile count decoded as a valid image";
 }
 
+TEST_F(PersistCorruptionTest, RejectsMisalignedSectionWithValidCrc) {
+  // Shift the posting section's table entry one byte into its payload and
+  // reseal its CRC: the arena it opens with would no longer be 4-byte
+  // aligned for in-place reads, so the table check must refuse it.
+  std::string bad = image_;
+  persist::FileHeader header;
+  std::memcpy(&header, bad.data(), sizeof(header));
+  bool patched = false;
+  for (uint64_t i = 0; i < header.section_count; ++i) {
+    size_t at = header.section_table_offset + i * sizeof(persist::SectionEntry);
+    persist::SectionEntry entry;
+    std::memcpy(&entry, bad.data() + at, sizeof(entry));
+    if (entry.id != static_cast<uint32_t>(persist::SectionId::kIndexTerms)) {
+      continue;
+    }
+    entry.offset += 1;
+    entry.size -= 1;
+    entry.crc = persist::Crc32(bad.data() + entry.offset,
+                               static_cast<size_t>(entry.size));
+    std::memcpy(bad.data() + at, &entry, sizeof(entry));
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  WriteFile(path_, bad);
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("misaligned"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(PersistCorruptionTest, RejectsGarbageFile) {
   WriteFile(path_, std::string(4096, '\x5A'));
   Status status = OpenImage();
   EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+}
+
+/// Every section of the image at `path`, in file order, plus its epoch.
+struct ImageSections {
+  std::vector<std::pair<persist::SectionId, std::string>> sections;
+  uint64_t epoch = 0;
+};
+
+ImageSections ReadSections(const std::string& path) {
+  ImageSections out;
+  auto image = persist::MappedImage::Open(path);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  if (!image.ok()) return out;
+  for (const persist::SectionEntry& entry : image.value()->sections()) {
+    auto id = static_cast<persist::SectionId>(entry.id);
+    auto payload = image.value()->Section(id);
+    EXPECT_TRUE(payload.ok());
+    if (!payload.ok()) continue;
+    out.sections.emplace_back(
+        id, std::string(reinterpret_cast<const char*>(payload.value().first),
+                        payload.value().second));
+  }
+  out.epoch = image.value()->epoch();
+  return out;  // unmapped before the caller rewrites the file
+}
+
+void PutBytes(persist::ImageWriter* writer, persist::SectionId id,
+              const std::string& bytes) {
+  writer->BeginSection(id);
+  for (char c : bytes) writer->PutU8(static_cast<uint8_t>(c));
+  ASSERT_TRUE(writer->EndSection().ok());
 }
 
 /// Rewrites the image at `path` with its graph sections replaced: the edge
@@ -424,24 +593,10 @@ TEST_F(PersistCorruptionTest, RejectsGarbageFile) {
 void ReplaceGraphSections(const std::string& path,
                           const graph::DataGraph& edges,
                           const graph::Csr* csr) {
-  std::vector<std::pair<persist::SectionId, std::string>> kept;
-  uint64_t epoch = 0;
-  {
-    auto image = persist::MappedImage::Open(path);
-    ASSERT_TRUE(image.ok()) << image.status().ToString();
-    for (const persist::SectionEntry& entry : image.value()->sections()) {
-      auto id = static_cast<persist::SectionId>(entry.id);
-      auto payload = image.value()->Section(id);
-      ASSERT_TRUE(payload.ok());
-      kept.emplace_back(id, std::string(reinterpret_cast<const char*>(
-                                            payload.value().first),
-                                        payload.value().second));
-    }
-    epoch = image.value()->epoch();
-  }  // unmapped before the file is rewritten
+  ImageSections image = ReadSections(path);
   persist::ImageWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
-  for (const auto& [id, bytes] : kept) {
+  for (const auto& [id, bytes] : image.sections) {
     if (id == persist::SectionId::kGraphCsr) continue;
     if (id == persist::SectionId::kGraphEdges) {
       ASSERT_EQ(edges.csr(), nullptr) << "pass the csr separately";
@@ -451,11 +606,34 @@ void ReplaceGraphSections(const std::string& path,
       }
       continue;
     }
-    writer.BeginSection(id);
-    for (char c : bytes) writer.PutU8(static_cast<uint8_t>(c));
-    ASSERT_TRUE(writer.EndSection().ok());
+    PutBytes(&writer, id, bytes);
   }
-  ASSERT_TRUE(writer.Finish(epoch).ok());
+  ASSERT_TRUE(writer.Finish(image.epoch).ok());
+}
+
+/// Rewrites the image at `path` with section `id`'s payload passed through
+/// `patch`, every CRC resealed, so only that section's decoder sees the
+/// damage.
+void PatchSection(const std::string& path, persist::SectionId id,
+                  const std::function<void(std::string*)>& patch) {
+  ImageSections image = ReadSections(path);
+  persist::ImageWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  for (auto& [section, bytes] : image.sections) {
+    if (section == id) patch(&bytes);
+    PutBytes(&writer, section, bytes);
+  }
+  ASSERT_TRUE(writer.Finish(image.epoch).ok());
+}
+
+uint32_t U32At(const std::string& bytes, size_t at) {
+  uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void SetU32At(std::string* bytes, size_t at, uint32_t value) {
+  std::memcpy(bytes->data() + at, &value, sizeof(value));
 }
 
 /// A one-edge graph over `store`, CSR built, whose edge-count matches the
@@ -514,6 +692,76 @@ TEST_F(PersistCorruptionTest, RejectsNonTreeDegreeThatDisagreesWithTheLog) {
   ReplaceGraphSections(path_, moved, valid->csr());
   Status status = OpenImage();
   EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+}
+
+// kIndexTerms (format v2): [u32 W][W arena words][u64 T] then T entries of
+// [u32 len][term bytes][u32 block][u32 max_tf][u64 doc_freq]. A block is
+// [n][doc x n][path x n][dewey_end x n][pos_end x n][deweys][positions].
+constexpr size_t kTermEntryTail = 16;  // block + max_tf + doc_freq
+
+size_t FirstTermEntry(const std::string& terms) {
+  return 4 + 4 * size_t{U32At(terms, 0)} + 8;
+}
+
+TEST_F(PersistCorruptionTest, RejectsTermOffsetPastThePostingArena) {
+  PatchSection(path_, persist::SectionId::kIndexTerms, [](std::string* terms) {
+    size_t entry = FirstTermEntry(*terms);
+    size_t block_at = entry + 4 + U32At(*terms, entry);
+    SetU32At(terms, block_at, U32At(*terms, 0));  // one past the last word
+  });
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("term offset past the posting arena"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(PersistCorruptionTest, RejectsPositionEndsThatAreNotMonotone) {
+  bool patched = false;
+  PatchSection(path_, persist::SectionId::kIndexTerms, [&](std::string* terms) {
+    const uint32_t arena_words = U32At(*terms, 0);
+    const uint64_t term_count = [&] {
+      uint64_t count = 0;
+      std::memcpy(&count, terms->data() + 4 + 4 * size_t{arena_words}, 8);
+      return count;
+    }();
+    size_t entry = FirstTermEntry(*terms);
+    for (uint64_t t = 0; t < term_count && !patched; ++t) {
+      size_t block_at = entry + 4 + U32At(*terms, entry);
+      size_t block = U32At(*terms, block_at);
+      uint32_t n = U32At(*terms, 4 + 4 * block);
+      entry = block_at + kTermEntryTail;
+      if (n < 2) continue;
+      // pos_end[0] past pos_end[1]: posting 1's positions would run
+      // backwards.
+      size_t pos_ends = 4 + 4 * (block + 1 + 3 * size_t{n});
+      SetU32At(terms, pos_ends, U32At(*terms, pos_ends + 4) + 1);
+      patched = true;
+    }
+  });
+  ASSERT_TRUE(patched) << "no term with two postings";
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("posting end offsets not monotone"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(PersistCorruptionTest, RejectsPathCountArrayOfTheWrongLength) {
+  // kIndexPaths: [u32 W][W count words][u64 T] then entries of
+  // [u32 len][term bytes][u32 P][P path ids][u32 counts offset][u32 length].
+  PatchSection(path_, persist::SectionId::kIndexPaths, [](std::string* paths) {
+    size_t entry = 4 + 4 * size_t{U32At(*paths, 0)} + 8;
+    size_t path_list = entry + 4 + U32At(*paths, entry);
+    uint32_t path_count = U32At(*paths, path_list);
+    size_t length_at = path_list + 4 + 4 * size_t{path_count} + 4;
+    SetU32At(paths, length_at, path_count + 1);
+  });
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("path count array disagrees"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(PersistPreconditionTest, SaveBeforeFinalizeFails) {

@@ -6,7 +6,7 @@
 namespace seda::reference {
 
 using text::NodeMatch;
-using text::NodePosting;
+using text::PostingList;
 using text::TextExpr;
 
 namespace {
@@ -85,39 +85,38 @@ std::vector<NodeMatch> EvaluatePhrase(const text::InvertedIndex& index,
                                       const TextExpr& expr) {
   if (expr.phrase.empty()) return {};
   struct TokenList {
-    const std::vector<NodePosting>* postings;
+    PostingList postings;
     size_t cursor;
   };
   std::vector<TokenList> lists;
   for (const auto& token : expr.phrase) {
-    lists.push_back({&index.Postings(token), 0});
-    if (lists.back().postings->empty()) return {};
+    lists.push_back({index.Postings(token), 0});
+    if (lists.back().postings.empty()) return {};
   }
   double score = 0;
   for (const auto& token : expr.phrase) score += index.Idf(token);
   std::vector<NodeMatch> out;
   // Advance over the first token's postings; align the rest.
-  for (const NodePosting& first : *lists[0].postings) {
+  const PostingList& lead = lists[0].postings;
+  for (size_t first = 0; first < lead.size(); ++first) {
+    const store::NodeId node = lead.node(first);
     bool aligned = true;
-    std::vector<const NodePosting*> row(lists.size());
-    row[0] = &first;
     for (size_t t = 1; t < lists.size(); ++t) {
-      const std::vector<NodePosting>& list = *lists[t].postings;
+      const PostingList& list = lists[t].postings;
       size_t& c = lists[t].cursor;
-      while (c < list.size() && list[c].node < first.node) ++c;
-      if (c >= list.size() || !(list[c].node == first.node)) {
+      while (c < list.size() && list.node(c) < node) ++c;
+      if (c >= list.size() || !(list.node(c) == node)) {
         aligned = false;
         break;
       }
-      row[t] = &list[c];
     }
     if (!aligned) continue;
     // Check for p with p+t present in each token's positions.
     bool phrase_found = false;
-    for (uint32_t p0 : first.positions) {
+    for (uint32_t p0 : lead.positions(first)) {
       bool all = true;
-      for (size_t t = 1; t < row.size(); ++t) {
-        const auto& positions = row[t]->positions;
+      for (size_t t = 1; t < lists.size(); ++t) {
+        const auto positions = lists[t].postings.positions(lists[t].cursor);
         if (!std::binary_search(positions.begin(), positions.end(),
                                 p0 + static_cast<uint32_t>(t))) {
           all = false;
@@ -129,7 +128,7 @@ std::vector<NodeMatch> EvaluatePhrase(const text::InvertedIndex& index,
         break;
       }
     }
-    if (phrase_found) out.push_back({first.node, first.path, score});
+    if (phrase_found) out.push_back({node, lead.path(first), score});
   }
   return out;
 }
@@ -152,9 +151,11 @@ std::vector<NodeMatch> EvaluateNodes(const text::InvertedIndex& index,
     case TextExpr::Kind::kTerm: {
       std::vector<NodeMatch> out;
       double idf = index.Idf(expr.term);
-      for (const NodePosting& p : index.Postings(expr.term)) {
-        out.push_back({p.node, p.path,
-                       text::TermContentScore(idf, p.positions.size())});
+      const PostingList postings = index.Postings(expr.term);
+      for (size_t i = 0; i < postings.size(); ++i) {
+        size_t tf = postings.positions(i).size();
+        out.push_back({postings.node(i), postings.path(i),
+                       text::TermContentScore(idf, tf)});
       }
       return out;
     }

@@ -88,9 +88,13 @@ std::string EpochFingerprint(const Snapshot& snap) {
     out += std::string("t:") + term;
     out += " df=" + std::to_string(snap.index().DocumentFrequency(term));
     out += " maxtf=" + std::to_string(snap.index().MaxTermFrequency(term));
-    for (const auto& posting : snap.index().Postings(term)) {
-      out += " " + posting.node.ToString() + "/" + std::to_string(posting.path);
-      for (uint32_t pos : posting.positions) out += "." + std::to_string(pos);
+    const text::PostingList postings = snap.index().Postings(term);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      out += " " + postings.node(i).ToString() + "/" +
+             std::to_string(postings.path(i));
+      for (uint32_t pos : postings.positions(i)) {
+        out += "." + std::to_string(pos);
+      }
     }
     out += " paths:";
     for (auto path : snap.index().TermPaths(term)) {

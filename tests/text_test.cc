@@ -113,11 +113,32 @@ class IndexTest : public ::testing::Test {
 };
 
 TEST_F(IndexTest, PostingsAreInDocumentOrder) {
-  const auto& postings = index_->Postings("united");
+  const PostingList postings = index_->Postings("united");
   ASSERT_FALSE(postings.empty());
   for (size_t i = 1; i < postings.size(); ++i) {
-    EXPECT_TRUE(postings[i - 1].node < postings[i].node);
+    EXPECT_TRUE(postings.node(i - 1) < postings.node(i));
   }
+}
+
+TEST_F(IndexTest, LowerBoundSeeksInDocumentOrder) {
+  const PostingList postings = index_->Postings("united");
+  ASSERT_GT(postings.size(), 2u);
+  for (size_t i = 0; i < postings.size(); ++i) {
+    const store::NodeId node = postings.node(i);
+    EXPECT_EQ(postings.LowerBound(0, node), i);
+    EXPECT_EQ(postings.LowerBound(i + 1, node), i + 1);  // never backwards
+    // A target just past the node (its first child) lands on the next
+    // posting at or after it in document order.
+    store::NodeId child{node.doc, node.dewey.Child(1)};
+    size_t expected = i + 1;
+    while (expected < postings.size() && postings.node(expected) < child) {
+      ++expected;
+    }
+    EXPECT_EQ(postings.LowerBound(0, child), expected);
+  }
+  EXPECT_EQ(postings.LowerBound(0, store::NodeId{~store::DocId{0}, {}}),
+            postings.size());
+  EXPECT_TRUE(index_->Postings("no-such-term").empty());
 }
 
 TEST_F(IndexTest, NodePostingsIncludeAncestors) {
