@@ -65,7 +65,6 @@ std::shared_ptr<const Snapshot> Snapshot::Build(
   // same merge decisions a cold build over the full store would.
   dataguide::DataguideCollection::Options dg_options;
   dg_options.overlap_threshold = options.dataguide_overlap_threshold;
-  dg_options.pool = ingest_pool;
   snap->guides_ = std::make_unique<dataguide::DataguideCollection>(
       base != nullptr
           ? dataguide::DataguideCollection::Extend(base->dataguides(),

@@ -1,11 +1,13 @@
 #include "dataguide/dataguide.h"
 
 #include <algorithm>
+#include <array>
 #include <deque>
+#include <iterator>
 #include <set>
+#include <unordered_set>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "persist/reader.h"
 #include "persist/writer.h"
 
@@ -18,30 +20,6 @@ Dataguide::Dataguide(std::vector<store::PathId> paths, store::DocId first_member
 
 bool Dataguide::Contains(const std::vector<store::PathId>& other) const {
   return std::includes(paths_.begin(), paths_.end(), other.begin(), other.end());
-}
-
-size_t Dataguide::CommonPathCount(const std::vector<store::PathId>& other) const {
-  size_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < paths_.size() && j < other.size()) {
-    if (paths_[i] < other[j]) {
-      ++i;
-    } else if (other[j] < paths_[i]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
-double Dataguide::Overlap(const std::vector<store::PathId>& other) const {
-  if (paths_.empty() || other.empty()) return 0;
-  double common = static_cast<double>(CommonPathCount(other));
-  return std::min(common / static_cast<double>(paths_.size()),
-                  common / static_cast<double>(other.size()));
 }
 
 void Dataguide::Merge(const std::vector<store::PathId>& other, store::DocId member) {
@@ -99,7 +77,7 @@ std::string Connection::ToString() const {
 DataguideCollection DataguideCollection::Build(const store::DocumentStore& store,
                                                const Options& options) {
   DataguideCollection collection(&store);
-  collection.IngestDocuments(0, options);
+  collection.IngestDocuments(0, options.overlap_threshold);
   return collection;
 }
 
@@ -111,74 +89,85 @@ DataguideCollection DataguideCollection::Extend(const DataguideCollection& base,
   collection.guide_of_doc_ = base.guide_of_doc_;
   collection.build_stats_ = base.build_stats_;
   collection.IngestDocuments(
-      static_cast<store::DocId>(base.build_stats_.documents), options);
+      static_cast<store::DocId>(base.build_stats_.documents),
+      options.overlap_threshold);
   return collection;
 }
 
 void DataguideCollection::IngestDocuments(store::DocId first_doc,
-                                          const Options& options) {
+                                          double overlap_threshold) {
   const store::DocumentStore& store = *store_;
   BuildStats stats = build_stats_;
   stats.documents = store.DocumentCount();
+  guide_of_doc_.resize(store.DocumentCount());
 
-  // Reused per-document probe buffers (only touched on the parallel path).
-  std::vector<char> contains;
-  std::vector<double> overlaps;
+  // Path -> the guides holding it. A document's common-path count with guide
+  // g is the number of its paths whose list names g, the same integer the
+  // paper's per-guide merge computes. A merge appends an older guide to a
+  // path's list, so lists are unordered and both rules below pick the lowest
+  // winning index themselves.
+  std::vector<std::vector<uint32_t>> guides_of_path(store.paths().size());
+  for (uint32_t g = 0; g < guides_.size(); ++g) {
+    for (store::PathId path : guides_[g].paths()) {
+      guides_of_path[path].push_back(g);
+    }
+  }
+  std::vector<uint32_t> common(guides_.size(), 0);
+  std::vector<uint32_t> touched;  // guides with common > 0, first-touch order
 
   for (store::DocId doc = first_doc; doc < store.DocumentCount(); ++doc) {
     const std::vector<store::PathId>& doc_paths = store.DocumentPathSet(doc);
-    size_t guide_count = guides_.size();
-
-    // The probe of this document against every existing dataguide (the O(m)
-    // inner loop of the paper's O(n*m) build) is read-only, so it can fan out
-    // across workers. Selection stays sequential and index-ordered below,
-    // which keeps the incremental merge identical to a single-threaded build.
-    bool parallel_probe =
-        options.pool != nullptr && options.pool->size() >= 1 && guide_count >= 8;
-    if (parallel_probe) {
-      contains.assign(guide_count, 0);
-      overlaps.assign(guide_count, 0.0);
-      options.pool->ParallelFor(guide_count, [&](size_t g) {
-        contains[g] = guides_[g].Contains(doc_paths) ? 1 : 0;
-        overlaps[g] = guides_[g].Overlap(doc_paths);
-      });
-    }
-
-    // Pass 1: subset / equality short-circuit (paper: "we do not need to do
-    // any further processing"). First matching guide wins.
-    bool placed = false;
-    for (size_t g = 0; g < guide_count; ++g) {
-      bool is_contained =
-          parallel_probe ? contains[g] != 0 : guides_[g].Contains(doc_paths);
-      if (is_contained) {
-        guides_[g].AddMember(doc);
-        guide_of_doc_[doc] = g;
-        ++stats.absorbed;
-        placed = true;
-        break;
+    touched.clear();
+    for (store::PathId path : doc_paths) {
+      for (uint32_t g : guides_of_path[path]) {
+        if (common[g]++ == 0) touched.push_back(g);
       }
     }
-    if (placed) continue;
 
-    // Pass 2: best-overlap merge (strictly-greater, so ties keep the lowest
-    // guide index — the same winner the sequential scan picks).
+    // Rule 1: subset / equality (paper: "we do not need to do any further
+    // processing") — the lowest guide holding every path absorbs it. An
+    // empty path set is contained in every guide.
+    // Rule 2: best overlap — strictly greater wins, so ties keep the lowest
+    // guide index. A guide sharing no path has overlap 0 and never wins.
+    uint32_t contained = doc_paths.empty() && !guides_.empty() ? 0 : UINT32_MAX;
+    uint32_t best_guide = UINT32_MAX;
     double best_overlap = 0;
-    size_t best_guide = SIZE_MAX;
-    for (size_t g = 0; g < guide_count; ++g) {
+    for (uint32_t g : touched) {
+      const size_t count = common[g];
+      common[g] = 0;
+      if (count == doc_paths.size()) contained = std::min(contained, g);
+      // The paper's overlap, min(|common|/|guide|, |common|/|doc|); count > 0
+      // here, so neither set is empty.
+      const double shared = static_cast<double>(count);
       double overlap =
-          parallel_probe ? overlaps[g] : guides_[g].Overlap(doc_paths);
-      if (overlap > best_overlap) {
+          std::min(shared / static_cast<double>(guides_[g].PathCount()),
+                   shared / static_cast<double>(doc_paths.size()));
+      if (overlap > best_overlap || (overlap == best_overlap && g < best_guide)) {
         best_overlap = overlap;
         best_guide = g;
       }
     }
-    if (best_guide != SIZE_MAX && best_overlap >= options.overlap_threshold) {
-      guides_[best_guide].Merge(doc_paths, doc);
+
+    if (contained != UINT32_MAX) {
+      guides_[contained].AddMember(doc);
+      guide_of_doc_[doc] = contained;
+      ++stats.absorbed;
+    } else if (best_guide != UINT32_MAX && best_overlap >= overlap_threshold) {
+      Dataguide& guide = guides_[best_guide];
+      std::vector<store::PathId> added;
+      std::set_difference(doc_paths.begin(), doc_paths.end(),
+                          guide.paths().begin(), guide.paths().end(),
+                          std::back_inserter(added));
+      for (store::PathId path : added) guides_of_path[path].push_back(best_guide);
+      guide.Merge(doc_paths, doc);
       guide_of_doc_[doc] = best_guide;
       ++stats.merges;
     } else {
+      const auto g = static_cast<uint32_t>(guides_.size());
+      for (store::PathId path : doc_paths) guides_of_path[path].push_back(g);
       guides_.emplace_back(doc_paths, doc);
-      guide_of_doc_[doc] = guides_.size() - 1;
+      common.push_back(0);
+      guide_of_doc_[doc] = g;
     }
   }
 
@@ -213,21 +202,42 @@ Status DataguideCollection::SaveTo(persist::ImageWriter* writer) const {
   return writer->EndSection();
 }
 
+namespace {
+
+Status Malformed(const std::string& what) {
+  return Status::ParseError("image dataguide section malformed: " + what);
+}
+
+}  // namespace
+
 Result<DataguideCollection> DataguideCollection::LoadFrom(
     const persist::MappedImage& image, const store::DocumentStore* store) {
   SEDA_ASSIGN_OR_RETURN(persist::SectionCursor cursor,
                         persist::OpenSection(image, persist::SectionId::kDataguides));
   DataguideCollection collection(store);
+  const size_t path_count = store->paths().size();
+  const size_t doc_count = store->DocumentCount();
+  // Every document belongs to exactly one guide, so membership doubles as the
+  // doc -> guide map and needs no separate serialization.
+  collection.guide_of_doc_.assign(doc_count, UINT32_MAX);
 
   uint64_t guide_count = cursor.GetU64();
   collection.guides_.reserve(cursor.BoundedCount(guide_count, 8));
   for (uint64_t g = 0; g < guide_count && !cursor.failed(); ++g) {
     std::vector<store::PathId> paths = cursor.GetU32Array();
     std::vector<store::DocId> members = cursor.GetU32Array();
+    for (size_t i = 0; i < paths.size(); ++i) {
+      if (paths[i] >= path_count) return Malformed("path past the dictionary");
+      if (i > 0 && paths[i] <= paths[i - 1]) {
+        return Malformed("guide paths not strictly ascending");
+      }
+    }
     for (store::DocId doc : members) {
-      // Every document belongs to exactly one guide, so membership doubles
-      // as the doc -> guide map and needs no separate serialization.
-      collection.guide_of_doc_[doc] = static_cast<size_t>(g);
+      if (doc >= doc_count) return Malformed("member past the store");
+      if (collection.guide_of_doc_[doc] != UINT32_MAX) {
+        return Malformed("document in two guides");
+      }
+      collection.guide_of_doc_[doc] = static_cast<uint32_t>(g);
     }
     collection.guides_.push_back(
         Dataguide::FromParts(std::move(paths), std::move(members)));
@@ -246,28 +256,68 @@ Result<DataguideCollection> DataguideCollection::LoadFrom(
     link.path_a = cursor.GetString();
     link.path_b = cursor.GetString();
     link.label = cursor.GetString();
+    if (link.guide_a >= guide_count || link.guide_b >= guide_count) {
+      return Malformed("link guide past the guide count");
+    }
     collection.pending_links_.push_back(std::move(link));
   }
   collection.link_count_ = collection.pending_links_.size();
   SEDA_RETURN_IF_ERROR(cursor.status());
+  if (std::find(collection.guide_of_doc_.begin(), collection.guide_of_doc_.end(),
+                UINT32_MAX) != collection.guide_of_doc_.end()) {
+    return Malformed("document in no guide");
+  }
+  if (collection.build_stats_.documents != doc_count) {
+    return Malformed("document count disagrees with the store");
+  }
   return collection;
 }
+
+namespace {
+
+/// (guide_a, path_a, guide_b, path_b, label) of a path-level link.
+using LinkKey = std::array<uint32_t, 5>;
+
+struct LinkKeyHash {
+  size_t operator()(const LinkKey& key) const {
+    uint64_t h = 0;
+    for (uint32_t part : key) h = (h ^ part) * 0x100000001b3ull;
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+};
+
+}  // namespace
 
 void DataguideCollection::AddLinksFromGraph(const graph::DataGraph& graph) {
   // Map every non-tree edge to path level, deduplicating per
   // (guide_a, path_a, guide_b, path_b, label). Edges arrive grouped by source
   // node in document order, so the link order is the preorder of sources.
-  std::set<std::tuple<size_t, std::string, size_t, std::string, std::string>> seen;
+  // Paths and labels are interned per call, so the key is all integers and
+  // path strings are copied only for new links. A node's path is looked up
+  // once.
+  std::unordered_map<std::string, uint32_t> ids;
+  std::vector<const std::string*> text;
+  auto intern = [&](const std::string& value) {
+    auto [it, added] = ids.try_emplace(value, static_cast<uint32_t>(text.size()));
+    if (added) text.push_back(&it->first);
+    return it->second;
+  };
+  std::unordered_map<const xml::Node*, uint32_t> path_of_node;
+  auto path_id = [&](const xml::Node* node) {
+    auto [it, fresh] = path_of_node.try_emplace(node, 0);
+    if (fresh) it->second = intern(node->ContextPath());
+    return it->second;
+  };
+  std::unordered_set<LinkKey, LinkKeyHash> seen;
   graph.ForEachEdgeBySource([&](const xml::Node* from_node,
                                 const xml::Node* to_node,
                                 const graph::Edge& edge) {
-    size_t guide_a = GuideOfDoc(edge.from.doc);
-    size_t guide_b = GuideOfDoc(edge.to.doc);
-    std::string path_a = from_node->ContextPath();
-    std::string path_b = to_node->ContextPath();
-    auto key = std::make_tuple(guide_a, path_a, guide_b, path_b, edge.label);
+    const LinkKey key = {guide_of_doc_.at(edge.from.doc), path_id(from_node),
+                         guide_of_doc_.at(edge.to.doc), path_id(to_node),
+                         intern(edge.label)};
     if (!seen.insert(key).second) return;
-    pending_links_.push_back({guide_a, guide_b, path_a, path_b, edge.label});
+    pending_links_.push_back(
+        {key[0], key[2], *text[key[1]], *text[key[3]], edge.label});
     ++link_count_;
   });
   summary_built_ = false;  // rebuild with links

@@ -13,10 +13,6 @@
 #include "graph/data_graph.h"
 #include "store/document_store.h"
 
-namespace seda {
-class ThreadPool;
-}
-
 namespace seda::persist {
 class ImageWriter;
 class MappedImage;
@@ -38,13 +34,6 @@ class Dataguide {
 
   /// True iff every path of `other` is contained in this dataguide.
   bool Contains(const std::vector<store::PathId>& other) const;
-
-  /// |common_paths| between this dataguide and `other`.
-  size_t CommonPathCount(const std::vector<store::PathId>& other) const;
-
-  /// The paper's similarity metric:
-  ///   overlap(dg1, dg2) = min(|common|/|paths(dg1)|, |common|/|paths(dg2)|)
-  double Overlap(const std::vector<store::PathId>& other) const;
 
   /// Unions `other`'s paths into this dataguide and records the member doc.
   void Merge(const std::vector<store::PathId>& other, store::DocId member);
@@ -109,19 +98,23 @@ struct BuildStats {
 class DataguideCollection {
  public:
   struct Options {
-    /// Merge two dataguides when overlap >= threshold. The paper's Table 1
-    /// uses 0.4. Threshold > 1 disables merging entirely (one dataguide per
-    /// distinct document schema).
+    /// Merge a document into its best-overlapping dataguide when
+    /// overlap >= threshold (paper §6.1). The paper's Table 1 uses 0.4.
+    /// Threshold > 1 disables merging entirely (one dataguide per distinct
+    /// document schema); 0 merges every document that shares a path with
+    /// some dataguide.
     double overlap_threshold = 0.4;
-    /// When set, each document's probe against existing dataguides (the inner
-    /// O(m) loop) fans out over the pool. The incremental merge itself stays
-    /// sequential in document order, so the result is independent of the
-    /// worker count.
-    ThreadPool* pool = nullptr;
   };
 
-  /// Builds the collection over every document in `store`. Cost O(n·m) as in
-  /// the paper: each document probes every existing dataguide.
+  /// Builds the collection over every document in `store`, in document order,
+  /// with the paper's rule: a document contained in a dataguide joins the
+  /// lowest-index such guide; otherwise it merges into the lowest-index guide
+  /// of best overlap when that overlap reaches the threshold; otherwise it
+  /// starts a new guide. The paper runs the rule as an O(n·m) scan of every
+  /// guide per document; here a document counts its common paths through a
+  /// path → guides inverted index, touching only the guides that share a
+  /// path with it. The counts are the integers the scan computes, so the
+  /// decisions are the same (tests/reference/dataguide_scan.h).
   static DataguideCollection Build(const store::DocumentStore& store,
                                    const Options& options);
 
@@ -131,7 +124,8 @@ class DataguideCollection {
   /// built over). Because the paper's build is a strictly document-ordered
   /// incremental algorithm, extending an epoch-N collection over the new
   /// documents makes exactly the merge decisions a from-scratch build over
-  /// the whole store would — only the new documents pay the O(m) probe.
+  /// the whole store would — only the new documents are probed (the
+  /// inverted index is rebuilt from `base`'s guides, O(total guide paths)).
   /// Link edges and the lazy summary graph are *not* carried over; call
   /// AddLinksFromGraph with the new epoch's data graph as usual.
   static DataguideCollection Extend(const DataguideCollection& base,
@@ -148,13 +142,14 @@ class DataguideCollection {
   /// Non-throwing GuideOfDoc for callers probing consistency (the audit
   /// layer): nullopt when no guide claims the document.
   std::optional<size_t> FindGuideOfDoc(store::DocId doc) const {
-    auto it = guide_of_doc_.find(doc);
-    if (it == guide_of_doc_.end()) return std::nullopt;
-    return it->second;
+    if (doc >= guide_of_doc_.size()) return std::nullopt;
+    return guide_of_doc_[doc];
   }
 
   /// Materializes link edges between dataguides from the data graph's
-  /// non-tree edges (mapped to path level). Call once after Build.
+  /// non-tree edges (mapped to path level and deduplicated per
+  /// (guide, path, guide, path, label), in source-preorder order). Call once
+  /// after Build, with the graph's CSR built.
   void AddLinksFromGraph(const graph::DataGraph& graph);
 
   /// Finds up to `max_count` distinct simple connections between two
@@ -184,7 +179,10 @@ class DataguideCollection {
   /// the path-level link edges / reconstructs the collection over `store`.
   /// The lazy summary graph and the connection cache start cold (they are
   /// derived state); Extend() continues a loaded collection exactly like an
-  /// in-memory one.
+  /// in-memory one. LoadFrom returns ParseError for a path id past `store`'s
+  /// dictionary or out of order, a member outside `store` or in other than
+  /// exactly one guide, a document count other than `store`'s, and a link
+  /// guide index past the guide count.
   Status SaveTo(persist::ImageWriter* writer) const;
   static Result<DataguideCollection> LoadFrom(const persist::MappedImage& image,
                                               const store::DocumentStore* store);
@@ -195,7 +193,7 @@ class DataguideCollection {
   /// The shared tail of Build and Extend: runs the sequential
   /// overlap-threshold merge over documents [first_doc, DocumentCount) and
   /// refreshes the build statistics.
-  void IngestDocuments(store::DocId first_doc, const Options& options);
+  void IngestDocuments(store::DocId first_doc, double overlap_threshold);
 
   /// Summary-graph node: a path prefix inside one dataguide.
   struct SummaryNode {
@@ -217,7 +215,7 @@ class DataguideCollection {
 
   const store::DocumentStore* store_;
   std::vector<Dataguide> guides_;
-  std::unordered_map<store::DocId, size_t> guide_of_doc_;
+  std::vector<uint32_t> guide_of_doc_;  ///< indexed by DocId (dense)
   BuildStats build_stats_;
 
   // Summary graph (built lazily).

@@ -170,6 +170,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::LoadFrom(
   std::vector<std::shared_ptr<xml::Document>> docs(blobs.size());
   std::vector<std::shared_ptr<const std::vector<PathId>>> path_sets(blobs.size());
   std::vector<Status> statuses(blobs.size());
+  const size_t path_count = store->path_dict_.size();
   RunParallel(pool, blobs.size(), [&](size_t d) {
     persist::SectionCursor& blob = blobs[d];
     auto doc = std::make_shared<xml::Document>(blob.GetString());
@@ -189,6 +190,20 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::LoadFrom(
     if (blob.failed()) {
       statuses[d] = blob.status();
       return;
+    }
+    // The dataguide build indexes by these ids: hold them to the auditor's
+    // store.doc_path_set_bounds / _sorted rules here.
+    for (size_t i = 0; i < path_set.size(); ++i) {
+      if (path_set[i] >= path_count) {
+        statuses[d] = Status::ParseError(
+            "image document path set entry past the dictionary");
+        return;
+      }
+      if (i > 0 && path_set[i] <= path_set[i - 1]) {
+        statuses[d] = Status::ParseError(
+            "image document path set not strictly ascending");
+        return;
+      }
     }
     docs[d] = std::move(doc);
     path_sets[d] = std::make_shared<const std::vector<PathId>>(

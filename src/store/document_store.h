@@ -101,7 +101,9 @@ class DocumentStore {
   /// per-document path sets) / reconstructs a store from a validated image.
   /// Dewey ids are recomputed from tree shape (they are purely structural),
   /// and document blobs materialize in parallel over `pool` when given. The
-  /// loaded store is indistinguishable from the one ingestion built.
+  /// loaded store is indistinguishable from the one ingestion built. A path
+  /// set entry past the dictionary or out of strictly ascending order is a
+  /// ParseError.
   Status SaveTo(persist::ImageWriter* writer) const;
   static Result<std::unique_ptr<DocumentStore>> LoadFrom(
       const persist::MappedImage& image, ThreadPool* pool = nullptr);

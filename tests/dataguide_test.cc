@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "data/generators.h"
 #include "dataguide/dataguide.h"
 #include "graph/data_graph.h"
+#include "reference/dataguide_scan.h"
 
 namespace seda::dataguide {
 namespace {
@@ -22,9 +26,10 @@ store::DocumentStore MakeHeterogeneousStore() {
 TEST(DataguideTest, OverlapFormula) {
   Dataguide g({0, 1, 2, 3}, 0);
   // common = 2, |g| = 4, |other| = 3 -> min(2/4, 2/3) = 0.5.
-  EXPECT_DOUBLE_EQ(g.Overlap({2, 3, 9}), 0.5);
-  EXPECT_DOUBLE_EQ(g.Overlap({7, 8}), 0.0);
-  EXPECT_DOUBLE_EQ(g.Overlap({0, 1, 2, 3}), 1.0);
+  EXPECT_EQ(reference::CommonPathCount(g, {2, 3, 9}), 2u);
+  EXPECT_DOUBLE_EQ(reference::Overlap(g, {2, 3, 9}), 0.5);
+  EXPECT_DOUBLE_EQ(reference::Overlap(g, {7, 8}), 0.0);
+  EXPECT_DOUBLE_EQ(reference::Overlap(g, {0, 1, 2, 3}), 1.0);
 }
 
 TEST(DataguideTest, ContainsAndMerge) {
@@ -102,6 +107,57 @@ TEST(DataguideCollectionTest, MonotoneInThreshold) {
     }
     previous = count;
     first = false;
+  }
+}
+
+// Table 1 of the paper at its 40% threshold, as bench_table1_dataguides
+// reproduces it on the four synthetic stand-ins at default scale:
+// (documents, dataguides, merges, absorbed). Any change to the merge rule or
+// the generators moves these numbers.
+struct Table1Row {
+  size_t documents, dataguides, merges, absorbed;
+  bool operator==(const Table1Row&) const = default;
+};
+
+void PrintTo(const Table1Row& row, std::ostream* out) {
+  *out << "{" << row.documents << ", " << row.dataguides << ", " << row.merges
+       << ", " << row.absorbed << "}";
+}
+
+template <typename Generator>
+Table1Row MeasureTable1(const Generator& generator) {
+  store::DocumentStore store;
+  generator.Populate(&store);
+  DataguideCollection::Options options;
+  options.overlap_threshold = 0.4;
+  const BuildStats stats = DataguideCollection::Build(store, options).build_stats();
+  return {stats.documents, stats.dataguides, stats.merges, stats.absorbed};
+}
+
+TEST(Table1GoldenTest, FourDatasetsAtFortyPercent) {
+  EXPECT_EQ(MeasureTable1(data::GoogleBaseGenerator()),
+            (Table1Row{10000, 88, 0, 9912}));
+  EXPECT_EQ(MeasureTable1(data::MondialGenerator()), (Table1Row{5563, 53, 33, 5477}));
+  EXPECT_EQ(MeasureTable1(data::RecipeMLGenerator()),
+            (Table1Row{10988, 3, 0, 10985}));
+  EXPECT_EQ(MeasureTable1(data::WorldFactbookGenerator()),
+            (Table1Row{1602, 299, 1240, 63}));
+}
+
+// bench_ablation_threshold's Factbook column (scale 0.2, 318 documents).
+TEST(Table1GoldenTest, FactbookGuideCountsAcrossThresholds) {
+  store::DocumentStore store;
+  data::WorldFactbookGenerator::Options generator;
+  generator.scale = 0.2;
+  data::WorldFactbookGenerator(generator).Populate(&store);
+  ASSERT_EQ(store.DocumentCount(), 318u);
+  const std::vector<std::pair<double, size_t>> expected = {
+      {0.1, 8}, {0.2, 22}, {0.4, 61}, {0.6, 134}, {0.8, 287}, {1.0, 314}};
+  for (const auto& [threshold, guides] : expected) {
+    DataguideCollection::Options options;
+    options.overlap_threshold = threshold;
+    EXPECT_EQ(DataguideCollection::Build(store, options).size(), guides)
+        << "threshold " << threshold;
   }
 }
 

@@ -764,6 +764,202 @@ TEST_F(PersistCorruptionTest, RejectsPathCountArrayOfTheWrongLength) {
       << status.ToString();
 }
 
+// kDataguides: [u64 G] then per guide [u32 P][P path ids][u32 M][M members],
+// then [u64 documents][u64 dataguides][u64 merges][u64 absorbed][f64 ratio]
+// [u64 L] and per link [u64 guide_a][u64 guide_b][3 length-prefixed strings].
+struct GuideLayout {
+  std::vector<size_t> paths;    ///< offset of each guide's path-count word
+  std::vector<size_t> members;  ///< offset of each guide's member-count word
+  size_t links = 0;             ///< offset of the link count
+};
+
+GuideLayout ParseGuides(const std::string& bytes) {
+  GuideLayout layout;
+  uint64_t guides = 0;
+  std::memcpy(&guides, bytes.data(), 8);
+  size_t at = 8;
+  for (uint64_t g = 0; g < guides; ++g) {
+    layout.paths.push_back(at);
+    at += 4 + 4 * size_t{U32At(bytes, at)};
+    layout.members.push_back(at);
+    at += 4 + 4 * size_t{U32At(bytes, at)};
+  }
+  layout.links = at + 5 * 8;
+  return layout;
+}
+
+Status OpenWithPatchedGuides(const std::string& path,
+                             const std::function<void(std::string*)>& patch) {
+  PatchSection(path, persist::SectionId::kDataguides, patch);
+  Seda reader;
+  return reader.Open(path);
+}
+
+void ExpectGuideError(const Status& status, const std::string& what) {
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("image dataguide section malformed: " + what),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(PersistCorruptionTest, RejectsDataguidePathPastTheDictionary) {
+  // PathDictionary::PathString does not check its id: the first connection
+  // summary, or the next Extend's inverted index, would read out of bounds.
+  ExpectGuideError(OpenWithPatchedGuides(path_,
+                                         [](std::string* guides) {
+                                           size_t first = ParseGuides(*guides).paths[0];
+                                           SetU32At(guides, first + 4, 0xFFFFFFF0u);
+                                         }),
+                   "path past the dictionary");
+}
+
+TEST_F(PersistCorruptionTest, RejectsDataguidePathsOutOfOrder) {
+  bool patched = false;
+  Status status = OpenWithPatchedGuides(path_, [&](std::string* guides) {
+    for (size_t at : ParseGuides(*guides).paths) {
+      if (U32At(*guides, at) < 2) continue;
+      uint32_t first = U32At(*guides, at + 4);
+      SetU32At(guides, at + 4, U32At(*guides, at + 8));
+      SetU32At(guides, at + 8, first);
+      patched = true;
+      return;
+    }
+  });
+  ASSERT_TRUE(patched) << "no guide with two paths";
+  ExpectGuideError(status, "guide paths not strictly ascending");
+}
+
+TEST_F(PersistCorruptionTest, RejectsDataguideMemberPastTheStore) {
+  ExpectGuideError(OpenWithPatchedGuides(path_,
+                                         [](std::string* guides) {
+                                           size_t first = ParseGuides(*guides).members[0];
+                                           SetU32At(guides, first + 4, 0xFFFFFFF0u);
+                                         }),
+                   "member past the store");
+}
+
+TEST_F(PersistCorruptionTest, RejectsDocumentInTwoDataguides) {
+  bool patched = false;
+  Status status = OpenWithPatchedGuides(path_, [&](std::string* guides) {
+    GuideLayout layout = ParseGuides(*guides);
+    ASSERT_GE(layout.members.size(), 2u);
+    // Guide 1's first member becomes guide 0's first member.
+    SetU32At(guides, layout.members[1] + 4, U32At(*guides, layout.members[0] + 4));
+    patched = true;
+  });
+  ASSERT_TRUE(patched);
+  ExpectGuideError(status, "document in two guides");
+}
+
+TEST_F(PersistCorruptionTest, RejectsDocumentInNoDataguide) {
+  ExpectGuideError(
+      OpenWithPatchedGuides(path_,
+                            [](std::string* guides) {
+                              // Drop guide 0's last member.
+                              size_t at = ParseGuides(*guides).members[0];
+                              uint32_t members = U32At(*guides, at);
+                              SetU32At(guides, at, members - 1);
+                              guides->erase(at + 4 * size_t{members}, 4);
+                            }),
+      "document in no guide");
+}
+
+TEST_F(PersistCorruptionTest, RejectsDataguideDocumentCountOffTheStore) {
+  ExpectGuideError(OpenWithPatchedGuides(path_,
+                                         [](std::string* guides) {
+                                           size_t at = ParseGuides(*guides).links - 40;
+                                           uint64_t documents = 0;
+                                           std::memcpy(&documents, guides->data() + at, 8);
+                                           ++documents;
+                                           std::memcpy(guides->data() + at, &documents, 8);
+                                         }),
+                   "document count disagrees with the store");
+}
+
+TEST_F(PersistCorruptionTest, RejectsDataguideLinkPastTheGuideCount) {
+  bool patched = false;
+  Status status = OpenWithPatchedGuides(path_, [&](std::string* guides) {
+    size_t links = ParseGuides(*guides).links;
+    uint64_t link_count = 0;
+    std::memcpy(&link_count, guides->data() + links, 8);
+    ASSERT_GT(link_count, 0u) << "the scenario has IDREF links";
+    uint64_t guide_b = 1u << 20;
+    std::memcpy(guides->data() + links + 8 + 8, &guide_b, 8);
+    patched = true;
+  });
+  ASSERT_TRUE(patched);
+  ExpectGuideError(status, "link guide past the guide count");
+}
+
+// kStoreDocs: [u64 total nodes][u64 D] then per document a u64-length-prefixed
+// blob ending in that document's path set, [u32 P][P path ids].
+/// Offset of document 0's first path-set id in the kStoreDocs payload.
+size_t FirstDocPathSet(const std::string& docs, size_t path_count) {
+  uint64_t blob_size = 0;
+  std::memcpy(&blob_size, docs.data() + 16, 8);
+  size_t count_at = 24 + blob_size - 4 * (path_count + 1);
+  EXPECT_EQ(U32At(docs, count_at), path_count);
+  return count_at + 4;
+}
+
+Status OpenWithPatchedDocPathSet(const std::string& path,
+                                 const std::function<void(std::string*, size_t)>& patch) {
+  store::DocumentStore store;  // the image's documents
+  data::PopulateScenario(&store);
+  const size_t path_count = store.DocumentPathSet(0).size();
+  EXPECT_GE(path_count, 2u);
+  PatchSection(path, persist::SectionId::kStoreDocs, [&](std::string* docs) {
+    patch(docs, FirstDocPathSet(*docs, path_count) + 4 * (path_count - 1));
+  });
+  Seda reader;
+  return reader.Open(path);
+}
+
+TEST_F(PersistCorruptionTest, RejectsDocumentPathSetPastTheDictionary) {
+  // The dataguide build indexes its path -> guides lists by these ids, so a
+  // cold rebuild over the opened store would write out of bounds.
+  Status status = OpenWithPatchedDocPathSet(
+      path_, [](std::string* docs, size_t last) { SetU32At(docs, last, 0xFFFFFFF0u); });
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("path set entry past the dictionary"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(PersistCorruptionTest, RejectsDocumentPathSetOutOfOrder) {
+  Status status = OpenWithPatchedDocPathSet(
+      path_, [](std::string* docs, size_t last) {
+        SetU32At(docs, last, U32At(*docs, last - 4));  // a repeated id
+      });
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("path set not strictly ascending"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(PersistCorruptionTest, CommitOverTreePathsMissingFromTheDictionary) {
+  // Renaming the dictionary entry "/mondial_country" leaves the IDREF
+  // targets' root elements with a path the dictionary lacks (the auditor's
+  // store.path_interned). The next commit maps those edges to dataguide
+  // links; a PathId lookup there would index the dictionary with
+  // kInvalidPathId.
+  const std::string entry = std::string("\x10\0\0\0", 4) + "/mondial_country";
+  bool renamed = false;
+  PatchSection(path_, persist::SectionId::kStorePaths, [&](std::string* paths) {
+    size_t at = paths->find(entry);
+    ASSERT_NE(at, std::string::npos);
+    (*paths)[at + entry.size() - 1] = 'Y';
+    renamed = true;
+  });
+  ASSERT_TRUE(renamed);
+  Seda seda;
+  Status status = seda.Open(path_);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(seda.AddXml("<sea id=\"sea-x\"><name>X Sea</name></sea>", "x").ok());
+  auto commit = seda.Commit();
+  EXPECT_TRUE(commit.ok()) << commit.status().ToString();
+}
+
 TEST(PersistPreconditionTest, SaveBeforeFinalizeFails) {
   Seda seda;
   EXPECT_EQ(seda.Save(TempImagePath("unfinalized")).code(),
