@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const char* probe = R"((name, "Deltaland") AND (GDP, *))";
-  auto inc_response = seda.Search(probe);
-  auto cold_response = cold.Search(probe);
+  auto inc_response = seda.snapshot()->Search(probe);
+  auto cold_response = cold.snapshot()->Search(probe);
   if (!inc_response.ok() || !cold_response.ok() ||
       inc_response->topk.size() != cold_response->topk.size() ||
       inc_response->topk.empty()) {
@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   for (size_t i = 0; i < inc_response->topk.size(); ++i) {
-    if (inc_response->topk[i].ToString(seda.store()) !=
-        cold_response->topk[i].ToString(cold.store())) {
+    if (inc_response->topk[i].ToString(seda.snapshot()->store()) !=
+        cold_response->topk[i].ToString(cold.snapshot()->store())) {
       std::printf("FAIL: probe tuple %zu diverged\n", i);
       return 1;
     }

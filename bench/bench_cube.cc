@@ -77,9 +77,10 @@ int main(int argc, char** argv) {
       "import-trade-percentage",
       {{kPct, RelativeKey::Parse({kName, kYear, "../trade_country"})}});
 
-  auto query = seda.Parse(R"((trade_country, *) AND (percentage, *))");
+  auto query =
+      seda::query::ParseQuery(R"((trade_country, *) AND (percentage, *))");
   if (!query.ok()) return 1;
-  auto result = seda.CompleteResults(query.value(), {kTrade, kPct}, {});
+  auto result = snap->CompleteResults(query.value(), {kTrade, kPct}, {});
   if (!result.ok()) {
     std::fprintf(stderr, "complete failed: %s\n",
                  result.status().ToString().c_str());
@@ -93,16 +94,16 @@ int main(int argc, char** argv) {
   without.use_columns = false;
 
   // Warm both paths once, gate byte-identity and cell totals, then time.
-  auto on = seda.BuildCube(result.value(), with);
-  auto off = seda.BuildCube(result.value(), without);
+  auto on = snap->BuildCube(result.value(), seda.catalog(), with);
+  auto off = snap->BuildCube(result.value(), seda.catalog(), without);
   if (!on.ok() || !off.ok()) return 1;
   const bool bytes_ok = on.value().ToString() == off.value().ToString();
 
   bool cells_ok = true;
   double total_on = 0, total_off = 0;
   {
-    auto cube_on = seda.ToOlapCube(on.value());
-    auto cube_off = seda.ToOlapCube(off.value());
+    auto cube_on = snap->ToOlapCube(on.value());
+    auto cube_off = snap->ToOlapCube(off.value());
     if (!cube_on.ok() || !cube_off.ok()) return 1;
     auto agg_on = cube_on.value().Aggregate(
         {"import-country"}, seda::olap::AggFn::kCount, "import-trade-percentage");
@@ -117,9 +118,9 @@ int main(int argc, char** argv) {
   double ms_on = 0, ms_off = 0;
   for (int r = 0; r < reps; ++r) {
     Clock::time_point t0 = Clock::now();
-    auto a = seda.BuildCube(result.value(), with);
+    auto a = snap->BuildCube(result.value(), seda.catalog(), with);
     Clock::time_point t1 = Clock::now();
-    auto b = seda.BuildCube(result.value(), without);
+    auto b = snap->BuildCube(result.value(), seda.catalog(), without);
     Clock::time_point t2 = Clock::now();
     if (!a.ok() || !b.ok()) return 1;
     if (a.value().ToString() != b.value().ToString()) return 1;

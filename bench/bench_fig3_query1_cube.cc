@@ -24,6 +24,7 @@ int main() {
   seda::core::SedaOptions options;
   options.value_edges.push_back({kName, kTrade, "trade_partner"});
   if (!seda.Finalize(options).ok()) return 1;
+  std::shared_ptr<const seda::core::Snapshot> snap = seda.snapshot();
 
   // Figure 3(b): the catalog of known facts F and dimensions D.
   auto* catalog = seda.mutable_catalog();
@@ -44,12 +45,12 @@ int main() {
   std::printf("Query 1: (*, \"United States\") AND (trade_country, *) AND "
               "(percentage, *)\n\n");
 
-  auto query = seda.Parse(
+  auto query = seda::query::ParseQuery(
       R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
   if (!query.ok()) return 1;
 
   // Figure 3(a): the full query result R(q) with (node id, path) pairs.
-  auto result = seda.CompleteResults(query.value(), {kName, kTrade, kPct}, {});
+  auto result = snap->CompleteResults(query.value(), {kName, kTrade, kPct}, {});
   if (!result.ok()) {
     std::printf("complete result failed: %s\n", result.status().ToString().c_str());
     return 1;
@@ -66,13 +67,13 @@ int main() {
     std::printf(" ");
     for (size_t i = 0; i < tuple.nodes.size(); ++i) {
       std::printf(" %s %s", tuple.nodes[i].ToString().c_str(),
-                  seda.store().paths().PathString(tuple.paths[i]).c_str());
+                  snap->store().paths().PathString(tuple.paths[i]).c_str());
     }
     std::printf("\n");
   }
 
   // Figure 3(c): the star schema.
-  auto schema = seda.BuildCube(result.value());
+  auto schema = snap->BuildCube(result.value(), seda.catalog(), {});
   if (!schema.ok()) {
     std::printf("cube failed: %s\n", schema.status().ToString().c_str());
     return 1;
@@ -81,7 +82,7 @@ int main() {
               schema.value().ToString().c_str());
 
   // Feed the fact table to the OLAP engine and aggregate, closing the loop.
-  auto cube = seda.ToOlapCube(schema.value());
+  auto cube = snap->ToOlapCube(schema.value());
   if (!cube.ok()) return 1;
   auto avg = cube.value().Aggregate({"import-country"}, seda::olap::AggFn::kAvg,
                                     "import-trade-percentage");

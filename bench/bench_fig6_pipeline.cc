@@ -39,8 +39,9 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> stages;
   stages.emplace_back("ingest", Ms(ingest_start));
   std::printf("%-42s %8.1f ms  (%zu docs, %llu nodes)\n", "ingest",
-              stages.back().second, seda.store().DocumentCount(),
-              static_cast<unsigned long long>(seda.store().TotalNodeCount()));
+              stages.back().second, seda.mutable_store()->DocumentCount(),
+              static_cast<unsigned long long>(
+                  seda.mutable_store()->TotalNodeCount()));
 
   // Single-threaded reference finalize on an identical copy of the corpus,
   // so the parallel ingestion pipeline's speedup is visible in the report.
@@ -61,10 +62,11 @@ int main(int argc, char** argv) {
   auto finalize_start = Clock::now();
   if (!seda.Finalize(parallel).ok()) return 1;
   stages.emplace_back("finalize", Ms(finalize_start));
+  std::shared_ptr<const seda::core::Snapshot> snap = seda.snapshot();
   std::printf("%-42s %8.1f ms  (%zu workers, %zu dataguides, %zu distinct paths)\n",
               "finalize (graph + index + dataguides)", stages.back().second,
-              seda::ThreadPool::DefaultThreadCount(), seda.dataguides().size(),
-              seda.store().paths().size());
+              seda::ThreadPool::DefaultThreadCount(), snap->dataguides().size(),
+              snap->store().paths().size());
 
   auto* catalog = seda.mutable_catalog();
   using seda::cube::RelativeKey;
@@ -79,11 +81,11 @@ int main(int argc, char** argv) {
       {{kPct, RelativeKey::Parse({kName, kYear, "../trade_country"})}});
 
   // Stage 1: full-text query -> top-k + summaries.
-  auto query = seda.Parse(
+  auto query = seda::query::ParseQuery(
       R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
   if (!query.ok()) return 1;
   auto search_start = Clock::now();
-  auto response = seda.Search(query.value());
+  auto response = snap->Search(query.value());
   if (!response.ok()) {
     std::printf("search failed: %s\n", response.status().ToString().c_str());
     return 1;
@@ -104,10 +106,11 @@ int main(int argc, char** argv) {
                   response.value().connections.FalsePositiveCount()));
 
   // Stage 2: feedback loop — user picks contexts, search re-runs.
-  auto refined = seda.RefineContexts(query.value(), {{kName}, {kTrade}, {kPct}});
+  auto refined = seda::core::Snapshot::RefineContexts(
+      query.value(), {{kName}, {kTrade}, {kPct}});
   if (!refined.ok()) return 1;
   auto refine_start = Clock::now();
-  auto refined_response = seda.Search(refined.value());
+  auto refined_response = snap->Search(refined.value());
   if (!refined_response.ok()) return 1;
   stages.emplace_back("refined_search", Ms(refine_start));
   std::printf("%-42s %8.1f ms  (top-%zu)\n", "refined search (contexts chosen)",
@@ -115,7 +118,8 @@ int main(int argc, char** argv) {
 
   // Stage 3: complete result set.
   auto complete_start = Clock::now();
-  auto result = seda.CompleteResults(refined.value(), {kName, kTrade, kPct}, {});
+  auto result =
+      snap->CompleteResults(refined.value(), {kName, kTrade, kPct}, {});
   if (!result.ok()) return 1;
   stages.emplace_back("complete_results", Ms(complete_start));
   std::printf("%-42s %8.1f ms  (%zu tuples, %zu twigs)\n",
@@ -124,7 +128,7 @@ int main(int argc, char** argv) {
 
   // Stage 4: data cube.
   auto cube_start = Clock::now();
-  auto schema = seda.BuildCube(result.value());
+  auto schema = snap->BuildCube(result.value(), seda.catalog(), {});
   if (!schema.ok()) {
     std::printf("cube failed: %s\n", schema.status().ToString().c_str());
     return 1;
@@ -135,7 +139,7 @@ int main(int argc, char** argv) {
               schema.value().fact_tables[0].rows.size(),
               schema.value().dimension_tables.size());
 
-  auto cube = seda.ToOlapCube(schema.value());
+  auto cube = snap->ToOlapCube(schema.value());
   if (!cube.ok()) return 1;
   auto olap_start = Clock::now();
   auto rollup = cube.value().Rollup({"year", "import-country"},
@@ -152,7 +156,7 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "{\n  \"bench\": \"fig6_pipeline\",\n  \"scale\": %.4f,\n"
                  "  \"documents\": %zu,\n  \"stages_ms\": {",
-                 scale, seda.store().DocumentCount());
+                 scale, snap->store().DocumentCount());
     for (size_t i = 0; i < stages.size(); ++i) {
       std::fprintf(json, "%s\"%s\": %.4f", i == 0 ? "" : ", ",
                    stages[i].first.c_str(), stages[i].second);

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("corpus: factbook scale %.2f (%zu docs)\n", scale,
-              seda.store().DocumentCount());
+              seda.snapshot()->store().DocumentCount());
 
   bool gates_ok = true;
 

@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("corpus: %zu docs, %zu sessions x %zu requests, %zu rounds\n",
-              seda.store().DocumentCount(), sessions, requests, rounds);
+              seda.snapshot()->store().DocumentCount(), sessions, requests,
+              rounds);
 
   seda::api::ServiceOptions off_options;
   off_options.tracing = false;

@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("opened image (%zu docs) in %.1f ms\n",
-              seda.store().DocumentCount(), Ms(open_start, Clock::now()));
+              seda.snapshot()->store().DocumentCount(),
+              Ms(open_start, Clock::now()));
 
   seda::api::SedaService service(&seda);
   std::vector<Level> levels;

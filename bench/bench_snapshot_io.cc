@@ -48,12 +48,12 @@ std::string EpochDigest(const seda::core::Snapshot& snap) {
   return out;
 }
 
-std::string ProbeFingerprint(const seda::core::Seda& seda) {
-  auto response = seda.Search(kProbeQuery);
+std::string ProbeFingerprint(const seda::core::Snapshot& snap) {
+  auto response = snap.Search(kProbeQuery);
   if (!response.ok()) return "probe-failed: " + response.status().ToString();
   std::string out;
   for (const auto& tuple : response->topk) {
-    out += tuple.ToString(seda.store()) + "\n";
+    out += tuple.ToString(snap.store()) + "\n";
   }
   out += response->contexts.ToString();
   out += response->connections.ToString();
@@ -80,9 +80,9 @@ int ReopenMode(const std::string& path) {
     return 1;
   }
   std::printf("%-44s %9.1f ms  (%zu docs, epoch %llu)\n", "Seda::Open(image)",
-              open_ms, seda.store().DocumentCount(),
+              open_ms, seda.snapshot()->store().DocumentCount(),
               static_cast<unsigned long long>(seda.snapshot()->epoch()));
-  auto response = seda.Search(kProbeQuery);
+  auto response = seda.snapshot()->Search(kProbeQuery);
   if (!response.ok() || response->topk.empty()) {
     std::printf("FAIL: probe query on reopened image\n");
     return 1;
@@ -214,7 +214,8 @@ int main(int argc, char** argv) {
   // Equivalence gate: the reopened epoch must be indistinguishable from the
   // built one — structure and served answers.
   if (EpochDigest(*cold.snapshot()) != EpochDigest(*reopened.snapshot()) ||
-      ProbeFingerprint(cold) != ProbeFingerprint(reopened)) {
+      ProbeFingerprint(*cold.snapshot()) !=
+          ProbeFingerprint(*reopened.snapshot())) {
     std::printf("FAIL: reopened epoch diverged from the built epoch\n");
     return 1;
   }

@@ -277,7 +277,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("loaded %zu docs; session '%s' pinned to epoch %llu\n\n",
-              seda.store().DocumentCount(), created.session_id.c_str(),
+              seda.snapshot()->store().DocumentCount(),
+              created.session_id.c_str(),
               static_cast<unsigned long long>(created.epoch));
   if (show_columns) PrintColumns(*seda.snapshot());
 

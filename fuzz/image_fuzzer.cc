@@ -28,6 +28,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // Full reconstruction: store, graph, index and dataguide decode hooks.
-  (void)seda::core::Snapshot::Load(image.value(), nullptr, nullptr);
+  (void)seda::core::Snapshot::Load(image.value());
   return 0;
 }

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "obs/slowlog.h"
 #include "obs/trace.h"
+#include "topk/engine_counters.h"
 
 namespace seda::api {
 
@@ -43,25 +44,9 @@ struct StatsDto {
   double elapsed_ms = 0;       ///< service-measured wall clock
   uint64_t deadline_ms = 0;    ///< request budget (0 = none)
   bool deadline_exceeded = false;
-  // topk::SearchStats counters (search/refine only):
-  uint64_t candidates_total = 0;
-  uint64_t docs_considered = 0;
-  uint64_t docs_scored = 0;
-  uint64_t tuples_scored = 0;
-  bool early_terminated = false;
-  uint64_t postings_advanced = 0;
-  uint64_t docs_skipped = 0;
-  uint64_t heap_evictions = 0;
-  uint64_t hub_links_skipped = 0;
-  uint64_t tuples_trimmed = 0;
-  // Graph-kernel counters (graph/csr.h ablation; see topk::SearchStats):
-  uint64_t bfs_expansions = 0;
-  uint64_t intersection_probes = 0;
-  uint64_t sketch_hits = 0;
-  // Columnar cube-extraction counters (cube requests only; see
-  // topk::SearchStats):
-  uint64_t column_rows_scanned = 0;
-  uint64_t column_fallback_docs = 0;
+  // The engine counters (topk/engine_counters.h): filled by search/refine,
+  // the column_* pair by cube; zeros elsewhere.
+  SEDA_ENGINE_COUNTERS(SEDA_ENGINE_COUNTER_FIELD)
 };
 
 /// Stable node reference: document id + Dewey id ("1.2.2.1"), plus the

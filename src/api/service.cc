@@ -9,7 +9,6 @@ namespace seda::api {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using topk::SearchStats;
 
 double ElapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
@@ -44,50 +43,26 @@ const char* MethodName(size_t method) {
   return kNames[method];
 }
 
-/// Cumulative engine counters (seda_engine_*_total): one row per counter,
-/// carrying the SearchStats field it is read from and the StatsDto field it
-/// lands in. MakeStats, FinishRequest and Statz walk this table, so a new
-/// counter needs one row here plus its two fields.
+/// Cumulative engine counters (seda_engine_*_total): one row per counter of
+/// topk/engine_counters.h, in list order, carrying the StatsDto field it is
+/// read from. The early_terminated flag has no metric and no row.
 struct EngineCounterSpec {
   const char* name;
   const char* help;
-  uint64_t SearchStats::*source;
   uint64_t StatsDto::*field;
 };
+#define SEDA_COUNTER_ROW_Copy(field, metric, help) \
+  {metric, help, &StatsDto::field},
+#define SEDA_COUNTER_ROW_Sum SEDA_COUNTER_ROW_Copy
+#define SEDA_COUNTER_ROW_Any(field, metric, help)
+#define SEDA_COUNTER_ROW(field, merge, metric, help) \
+  SEDA_COUNTER_ROW_##merge(field, metric, help)
 constexpr EngineCounterSpec kEngineCounters[] = {
-    {"seda_engine_candidates_total",
-     "Candidate nodes produced by term lookups.",
-     &SearchStats::candidates_total, &StatsDto::candidates_total},
-    {"seda_engine_docs_considered_total", "Documents entering the TA scan.",
-     &SearchStats::docs_considered, &StatsDto::docs_considered},
-    {"seda_engine_docs_scored_total", "Documents fully scored by the TA scan.",
-     &SearchStats::docs_scored, &StatsDto::docs_scored},
-    {"seda_engine_tuples_scored_total", "Term-node tuples scored.",
-     &SearchStats::tuples_scored, &StatsDto::tuples_scored},
-    {"seda_engine_postings_advanced_total", "Posting cursor advances.",
-     &SearchStats::postings_advanced, &StatsDto::postings_advanced},
-    {"seda_engine_docs_skipped_total", "Documents pruned before scoring.",
-     &SearchStats::docs_skipped, &StatsDto::docs_skipped},
-    {"seda_engine_heap_evictions_total", "Top-k heap evictions.",
-     &SearchStats::heap_evictions, &StatsDto::heap_evictions},
-    {"seda_engine_hub_links_skipped_total", "Hub links skipped while scoring.",
-     &SearchStats::hub_links_skipped, &StatsDto::hub_links_skipped},
-    {"seda_engine_tuples_trimmed_total", "Tuples trimmed by per-doc budgets.",
-     &SearchStats::tuples_trimmed, &StatsDto::tuples_trimmed},
-    {"seda_engine_bfs_expansions_total", "Connection-scoring BFS expansions.",
-     &SearchStats::bfs_expansions, &StatsDto::bfs_expansions},
-    {"seda_engine_intersection_probes_total",
-     "Adjacency intersection probes (graph kernels).",
-     &SearchStats::intersection_probes, &StatsDto::intersection_probes},
-    {"seda_engine_sketch_hits_total", "2-hop sketch hits (graph kernels).",
-     &SearchStats::sketch_hits, &StatsDto::sketch_hits},
-    {"seda_engine_column_rows_scanned_total",
-     "Columnar row lookups during cube extraction.",
-     &SearchStats::column_rows_scanned, &StatsDto::column_rows_scanned},
-    {"seda_engine_column_fallback_docs_total",
-     "Cube result tuples extracted via the tree-walk fallback.",
-     &SearchStats::column_fallback_docs, &StatsDto::column_fallback_docs},
-};
+    SEDA_ENGINE_COUNTERS(SEDA_COUNTER_ROW)};
+#undef SEDA_COUNTER_ROW
+#undef SEDA_COUNTER_ROW_Any
+#undef SEDA_COUNTER_ROW_Sum
+#undef SEDA_COUNTER_ROW_Copy
 constexpr size_t kEngineCounterCount = std::size(kEngineCounters);
 
 uint64_t NowUnixMs() {
@@ -97,17 +72,16 @@ uint64_t NowUnixMs() {
           .count());
 }
 
-StatsDto MakeStats(const SearchStats& stats, double elapsed_ms,
+StatsDto MakeStats(const topk::SearchStats& stats, double elapsed_ms,
                    uint64_t deadline_ms) {
   StatsDto dto;
   dto.epoch = stats.epoch;
   dto.elapsed_ms = elapsed_ms;
   dto.deadline_ms = deadline_ms;
   dto.deadline_exceeded = stats.deadline_exceeded;
-  dto.early_terminated = stats.early_terminated;
-  for (const EngineCounterSpec& counter : kEngineCounters) {
-    dto.*counter.field = stats.*counter.source;
-  }
+#define SEDA_COPY_COUNTER(field, merge, metric, help) dto.field = stats.field;
+  SEDA_ENGINE_COUNTERS(SEDA_COPY_COUNTER)
+#undef SEDA_COPY_COUNTER
   return dto;
 }
 
@@ -388,8 +362,7 @@ SearchResponseDto SedaService::DoSearch(const SearchRequest& request,
   SearchResponseDto response;
 
   // One-shot path: an empty session id pins the current epoch for exactly
-  // this request, like the deprecated Seda::Search shim but over the wire
-  // schema.
+  // this request.
   if (request.session_id.empty()) {
     auto session = seda_->NewSession();
     if (!session.ok()) {

@@ -250,8 +250,8 @@ class SedaService {
   /// JSON from these same series, so statz and /metrics can never disagree.
   obs::MetricsRegistry registry_;
   MethodSeries method_series_[kMethodCount];
-  /// Cumulative topk::SearchStats counters (seda_engine_*_total), indexed
-  /// in StatsDto field order — see kEngineCounters in service.cc.
+  /// Cumulative engine counters (seda_engine_*_total), indexed like
+  /// kEngineCounters in service.cc (topk/engine_counters.h list order).
   std::vector<obs::Counter*> engine_counters_;
   obs::SlowLog slowlog_;
   /// Per-method slow threshold, resolved once from options_.slowlog.

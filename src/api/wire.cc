@@ -553,6 +553,17 @@ bool BoolField(const Json& json, const char* key, bool fallback = false) {
   return v != nullptr ? v->AsBool(fallback) : fallback;
 }
 
+/// Engine-counter codec (topk/engine_counters.h): counters are unsigned,
+/// the early_terminated flag is a bool.
+Json CounterJson(uint64_t v) { return Json::Uint(v); }
+Json CounterJson(bool v) { return Json::Bool(v); }
+void ReadCounter(const Json& json, const char* key, uint64_t* out) {
+  *out = UintField(json, key);
+}
+void ReadCounter(const Json& json, const char* key, bool* out) {
+  *out = BoolField(json, key);
+}
+
 std::string StringField(const Json& json, const char* key) {
   const Json* v = json.Find(key);
   return v != nullptr ? v->AsString() : std::string();
@@ -593,21 +604,10 @@ Json ToJson(const StatsDto& v) {
   json.Set("elapsed_ms", Json::Double(v.elapsed_ms));
   json.Set("deadline_ms", Json::Uint(v.deadline_ms));
   json.Set("deadline_exceeded", Json::Bool(v.deadline_exceeded));
-  json.Set("candidates_total", Json::Uint(v.candidates_total));
-  json.Set("docs_considered", Json::Uint(v.docs_considered));
-  json.Set("docs_scored", Json::Uint(v.docs_scored));
-  json.Set("tuples_scored", Json::Uint(v.tuples_scored));
-  json.Set("early_terminated", Json::Bool(v.early_terminated));
-  json.Set("postings_advanced", Json::Uint(v.postings_advanced));
-  json.Set("docs_skipped", Json::Uint(v.docs_skipped));
-  json.Set("heap_evictions", Json::Uint(v.heap_evictions));
-  json.Set("hub_links_skipped", Json::Uint(v.hub_links_skipped));
-  json.Set("tuples_trimmed", Json::Uint(v.tuples_trimmed));
-  json.Set("bfs_expansions", Json::Uint(v.bfs_expansions));
-  json.Set("intersection_probes", Json::Uint(v.intersection_probes));
-  json.Set("sketch_hits", Json::Uint(v.sketch_hits));
-  json.Set("column_rows_scanned", Json::Uint(v.column_rows_scanned));
-  json.Set("column_fallback_docs", Json::Uint(v.column_fallback_docs));
+#define SEDA_COUNTER_TO_JSON(field, merge, metric, help) \
+  json.Set(#field, CounterJson(v.field));
+  SEDA_ENGINE_COUNTERS(SEDA_COUNTER_TO_JSON)
+#undef SEDA_COUNTER_TO_JSON
   return json;
 }
 
@@ -617,21 +617,10 @@ StatsDto StatsDtoFromJson(const Json& json) {
   v.elapsed_ms = DoubleField(json, "elapsed_ms");
   v.deadline_ms = UintField(json, "deadline_ms");
   v.deadline_exceeded = BoolField(json, "deadline_exceeded");
-  v.candidates_total = UintField(json, "candidates_total");
-  v.docs_considered = UintField(json, "docs_considered");
-  v.docs_scored = UintField(json, "docs_scored");
-  v.tuples_scored = UintField(json, "tuples_scored");
-  v.early_terminated = BoolField(json, "early_terminated");
-  v.postings_advanced = UintField(json, "postings_advanced");
-  v.docs_skipped = UintField(json, "docs_skipped");
-  v.heap_evictions = UintField(json, "heap_evictions");
-  v.hub_links_skipped = UintField(json, "hub_links_skipped");
-  v.tuples_trimmed = UintField(json, "tuples_trimmed");
-  v.bfs_expansions = UintField(json, "bfs_expansions");
-  v.intersection_probes = UintField(json, "intersection_probes");
-  v.sketch_hits = UintField(json, "sketch_hits");
-  v.column_rows_scanned = UintField(json, "column_rows_scanned");
-  v.column_fallback_docs = UintField(json, "column_fallback_docs");
+#define SEDA_COUNTER_FROM_JSON(field, merge, metric, help) \
+  ReadCounter(json, #field, &v.field);
+  SEDA_ENGINE_COUNTERS(SEDA_COUNTER_FROM_JSON)
+#undef SEDA_COUNTER_FROM_JSON
   return v;
 }
 

@@ -38,9 +38,9 @@ using persist::U32View;
 /// single-valued key checks run off the column without consulting the tree.
 ///
 /// Columns persist as SectionId::kColumns — flat u32/byte arrays mapped
-/// zero-copy on Open() (the ColumnStore pins the image), fully
-/// structure-validated on load, and rebuilt from the document trees when the
-/// section is absent, so pre-column images keep loading unchanged.
+/// zero-copy on Open() (the ColumnStore pins the image) and fully
+/// structure-validated on load. An image carries the section exactly when
+/// its options enable columns.
 
 /// Inferred scalar type of a column. Dictionary strings stay authoritative
 /// for all engine output (so byte-identity with the tree walk is exact);

@@ -4,6 +4,19 @@
 
 namespace seda::core {
 
+namespace {
+
+/// A pool for `threads`-way parallelism (0 = one per hardware core), or null
+/// for 1. The calling thread joins every ParallelFor, so the pool spawns one
+/// fewer worker than the parallelism to avoid oversubscribing by one.
+std::unique_ptr<ThreadPool> NewPool(size_t threads) {
+  if (threads == 0) threads = ThreadPool::DefaultThreadCount();
+  if (threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads - 1);
+}
+
+}  // namespace
+
 Result<store::DocId> Seda::AddXml(std::string xml_text, std::string doc_name) {
   if (pending_docs_.empty()) pending_base_ = store_->DocumentCount();
   store::DocId id =
@@ -73,23 +86,14 @@ Status Seda::Open(const std::string& path) {
   SEDA_ASSIGN_OR_RETURN(auto image, persist::MappedImage::Open(path));
   SEDA_ASSIGN_OR_RETURN(options_, ReadSedaOptions(*image));
 
-  // Pools are sized from the restored options, mirroring CommitInternal: a
+  // Pools are sized from the restored options, as in CommitInternal: a
   // transient ingest-shaped pool for parallel document materialization, and
   // the long-lived query pool every epoch co-owns.
-  size_t threads = options_.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                             : options_.num_threads;
-  std::unique_ptr<ThreadPool> load_pool;
-  if (threads > 1) load_pool = std::make_unique<ThreadPool>(threads - 1);
-  size_t query_threads = options_.query_threads == 0
-                             ? ThreadPool::DefaultThreadCount()
-                             : options_.query_threads;
-  if (query_threads > 1) {
-    query_pool_ = std::make_shared<ThreadPool>(query_threads - 1);
-  }
-
-  SEDA_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Snapshot> snap,
-      Snapshot::Load(std::move(image), load_pool.get(), query_pool_));
+  std::unique_ptr<ThreadPool> load_pool = NewPool(options_.num_threads);
+  query_pool_ = NewPool(options_.query_threads);
+  SEDA_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snap,
+                        Snapshot::Load(std::move(image), options_,
+                                       load_pool.get(), query_pool_));
   // The staging store continues from the loaded epoch's view (documents are
   // shared, not copied), so the next Commit() extends it incrementally.
   store_ = snap->store().Clone();
@@ -134,28 +138,15 @@ Status Seda::CommitInternal(bool force_full_rebuild, CommitInfo* info) {
 
   // The commit pipeline (Fig. 6 left half) runs in four stages. Stages fan
   // per-document work out over the pool; every merge happens in DocId order,
-  // so any worker count produces identical indexes and dataguides. The
-  // calling thread participates in every ParallelFor, so spawn one fewer
-  // worker than the requested parallelism to avoid oversubscribing by one.
-  size_t threads = options_.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                             : options_.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
+  // so any worker count produces identical indexes and dataguides.
+  std::unique_ptr<ThreadPool> pool = NewPool(options_.num_threads);
 
   // Stage 1: parse queued documents and load them into the staging store.
   SEDA_RETURN_IF_ERROR(IngestPending(pool.get()));
 
-  // Query-time pool, shared by every epoch: the searching thread
-  // participates in every scoring batch, so spawn one fewer worker than the
-  // requested parallelism. Created once, at the first commit.
-  if (base == nullptr) {
-    size_t query_threads = options_.query_threads == 0
-                               ? ThreadPool::DefaultThreadCount()
-                               : options_.query_threads;
-    if (query_threads > 1) {
-      query_pool_ = std::make_shared<ThreadPool>(query_threads - 1);
-    }
-  }
+  // Query-time pool, shared by every epoch; created once, at the first
+  // commit.
+  if (base == nullptr) query_pool_ = NewPool(options_.query_threads);
 
   // Stages 2-4 run inside Snapshot::Build, off to the side of the published
   // epoch: readers keep querying `base` undisturbed until the single atomic
@@ -181,73 +172,6 @@ Result<Session> Seda::NewSession() const {
     return Status::FailedPrecondition("call Finalize() first");
   }
   return Session(std::move(snap), &catalog_);
-}
-
-// --- Legacy facade ----------------------------------------------------
-
-const store::DocumentStore& Seda::store() const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  // Before the first commit the staging store is the only store there is;
-  // afterwards, queries (and the NodeIds they return) live against the
-  // published epoch's view.
-  return snap != nullptr ? snap->store() : *store_;
-}
-
-const graph::DataGraph& Seda::data_graph() const {
-  return snapshot()->data_graph();
-}
-
-const text::InvertedIndex& Seda::index() const { return snapshot()->index(); }
-
-const dataguide::DataguideCollection& Seda::dataguides() const {
-  return snapshot()->dataguides();
-}
-
-Result<query::Query> Seda::Parse(const std::string& text) const {
-  return query::ParseQuery(text);
-}
-
-// Each shim pins the current snapshot for exactly one call — a one-shot
-// session without the Session object's state copies.
-
-Result<SearchResponse> Seda::Search(const query::Query& query) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  if (snap == nullptr) return Status::FailedPrecondition("call Finalize() first");
-  return snap->Search(query);
-}
-
-Result<SearchResponse> Seda::Search(const std::string& query_text) const {
-  auto query = Parse(query_text);
-  if (!query.ok()) return query.status();
-  return Search(query.value());
-}
-
-Result<query::Query> Seda::RefineContexts(
-    const query::Query& query,
-    const std::vector<std::vector<std::string>>& chosen_paths) const {
-  return Snapshot::RefineContexts(query, chosen_paths);
-}
-
-Result<twig::CompleteResult> Seda::CompleteResults(
-    const query::Query& query, const std::vector<std::string>& term_paths,
-    const std::vector<twig::ChosenConnection>& connections) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  if (snap == nullptr) return Status::FailedPrecondition("call Finalize() first");
-  return snap->CompleteResults(query, term_paths, connections);
-}
-
-Result<cube::StarSchema> Seda::BuildCube(
-    const twig::CompleteResult& result,
-    const cube::CubeBuilder::Options& options) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  if (snap == nullptr) return Status::FailedPrecondition("call Finalize() first");
-  return snap->BuildCube(result, catalog_, options);
-}
-
-Result<olap::Cube> Seda::ToOlapCube(const cube::StarSchema& schema) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  if (snap == nullptr) return Status::FailedPrecondition("call Finalize() first");
-  return snap->ToOlapCube(schema);
 }
 
 }  // namespace seda::core

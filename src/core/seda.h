@@ -26,10 +26,8 @@ namespace seda::core {
 ///    queries are never blocked or torn. The writer itself is
 ///    single-threaded: calls that mutate (AddXml, mutable_store, Commit,
 ///    mutable_catalog) must be externally serialized. Reader threads may
-///    freely race with the writer through any call path that pins an epoch —
-///    snapshot(), a Session, or the one-shot query shims below; only the raw
-///    reference accessors (store()/data_graph()/index()/dataguides()) must
-///    not overlap a Commit(), see their note.
+///    freely race with the writer through snapshot() or a Session, both of
+///    which pin an epoch.
 ///
 ///  * **Snapshot.** One immutable epoch of everything query-side; see
 ///    core/snapshot.h.
@@ -37,17 +35,8 @@ namespace seda::core {
 ///  * **Session.** A stateful Fig. 6 exploration pinned to one snapshot; see
 ///    core/session.h. NewSession() pins the current epoch.
 ///
-/// The classic one-shot entry points (Search, RefineContexts,
-/// CompleteResults, BuildCube, ToOlapCube) remain as thin shims that create
-/// a single-use Session over the current snapshot, so pre-existing call
-/// sites compile and behave unchanged:
-///
-///   AddXml/AddDocument*  ->  Finalize()          (the first commit)
-///   Search(query)        ->  top-k + context & connection summaries
-///   (user picks contexts)    RefineContexts(query, picks) -> new Search
-///   (user picks connections) CompleteResults(...)         -> full R(q)
-///   BuildCube(...)       ->  star schema -> olap::Cube
-///   AddXml(...) + Commit() -> next epoch, queries keep running meanwhile
+/// Reads go through snapshot(), a Session, or api::SedaService (the wire
+/// surface over Sessions); this class only writes and publishes epochs.
 class Seda {
  public:
   Seda() : store_(std::make_unique<store::DocumentStore>()) {}
@@ -72,7 +61,7 @@ class Seda {
 
   /// Builds the first snapshot epoch (data graph, full-text index, dataguide
   /// summary) and fixes the SedaOptions used by every later Commit(). Call
-  /// once; afterwards all query entry points are available and further
+  /// once; afterwards snapshot() and NewSession() serve queries and further
   /// ingestion goes through AddXml() + Commit().
   Status Finalize(const SedaOptions& options);
   Status Finalize() { return Finalize(SedaOptions{}); }
@@ -110,7 +99,7 @@ class Seda {
   };
 
   /// Ingests everything staged since the last commit and atomically
-  /// publishes the next snapshot epoch. In-flight Search() calls and pinned
+  /// publishes the next snapshot epoch. In-flight searches and pinned
   /// Sessions keep the epoch they started on; new queries see the new one.
   /// With nothing staged this is a cheap no-op returning the current epoch.
   /// Requires Finalize() first (it is the first commit and fixes the
@@ -131,65 +120,9 @@ class Seda {
   /// this instance's cube catalog). Fails before Finalize().
   Result<Session> NewSession() const;
 
-  // --- Legacy facade: shims over the current snapshot -----------------
-  // DEPRECATED: the supported public query surface is api::SedaService
-  // (src/api/service.h) — plain-data requests/responses with string session
-  // ids, per-request deadlines and a JSON wire form; see README's migration
-  // table. The one-shot shims below remain for in-process callers and tests
-  // (each pins the current snapshot for exactly one call, so they stay
-  // correct), but new interactive/serving code should not grow on them:
-  // they hand back engine objects full of store references that cannot
-  // cross a thread-pool, process or wire boundary.
-  //
-  // The raw-reference accessors below return references into the currently
-  // published epoch. They stay valid until the next Commit() replaces that
-  // epoch (which frees it unless a Session or snapshot() shared_ptr still
-  // pins it) — like iterator invalidation, and UNLIKE the query shims they
-  // must not be called concurrently with a Commit(): the reference could
-  // outlive the epoch it points into. Threads racing the writer should hold
-  // a Session or snapshot() instead.
-
-  const store::DocumentStore& store() const;
-  const graph::DataGraph& data_graph() const;
-  const text::InvertedIndex& index() const;
-  const dataguide::DataguideCollection& dataguides() const;
+  /// The cube catalog Sessions build star schemas against (cube/catalog.h).
   cube::Catalog* mutable_catalog() { return &catalog_; }
   const cube::Catalog& catalog() const { return catalog_; }
-
-  /// Parses the paper's query syntax, e.g.
-  ///   (*, "United States") AND (trade_country, *) AND (percentage, *)
-  Result<query::Query> Parse(const std::string& text) const;
-
-  /// DEPRECATED (use api::SedaService::Search): one-shot search on the
-  /// current epoch via an internal single-use Session. The response's
-  /// stats.epoch says which epoch served it.
-  Result<SearchResponse> Search(const query::Query& query) const;
-  Result<SearchResponse> Search(const std::string& query_text) const;
-
-  /// DEPRECATED (use api::SedaService::Refine): context refinement (§5);
-  /// pure query rewrite, see Snapshot::RefineContexts.
-  Result<query::Query> RefineContexts(
-      const query::Query& query,
-      const std::vector<std::vector<std::string>>& chosen_paths) const;
-
-  /// DEPRECATED (use api::SedaService::Complete): complete result set (§7)
-  /// on the current epoch.
-  Result<twig::CompleteResult> CompleteResults(
-      const query::Query& query, const std::vector<std::string>& term_paths,
-      const std::vector<twig::ChosenConnection>& connections) const;
-
-  /// DEPRECATED (use api::SedaService::Cube): star schema from a complete
-  /// result (§7 steps 1-3).
-  Result<cube::StarSchema> BuildCube(
-      const twig::CompleteResult& result,
-      const cube::CubeBuilder::Options& options) const;
-  Result<cube::StarSchema> BuildCube(const twig::CompleteResult& result) const {
-    return BuildCube(result, cube::CubeBuilder::Options{});
-  }
-
-  /// DEPRECATED (use api::SedaService::Cube with measure/group_dims): loads
-  /// the first fact table of a star schema into the OLAP engine.
-  Result<olap::Cube> ToOlapCube(const cube::StarSchema& schema) const;
 
  private:
   struct PendingDocument {

@@ -85,8 +85,8 @@ class Session {
   }
 
   /// Installs `query` as the current query without searching — the escape
-  /// hatch for callers (and the legacy Seda shims) that already hold a
-  /// refined query and only want CompleteResults.
+  /// hatch for callers that already hold a refined query and only want
+  /// CompleteResults.
   void SetQuery(query::Query query) { current_query_ = std::move(query); }
 
   bool has_query() const { return current_query_.has_value(); }

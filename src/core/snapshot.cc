@@ -5,6 +5,15 @@
 
 namespace seda::core {
 
+namespace {
+
+// Per-kind shard merges for Snapshot::Search's sharded scan.
+void MergeShardCopy(uint64_t*, uint64_t) {}
+void MergeShardSum(uint64_t* into, uint64_t shard) { *into += shard; }
+void MergeShardAny(bool* into, bool shard) { *into = *into || shard; }
+
+}  // namespace
+
 audit::AuditReport Snapshot::Audit() const {
   return audit::SnapshotAuditor(store_.get(), index_.get(), graph_.get(),
                                 guides_.get(), columns_.get())
@@ -106,8 +115,7 @@ void WriteSedaOptions(persist::ImageWriter* writer, const SedaOptions& options) 
     writer->PutString(edge.fk_path);
     writer->PutString(edge.label);
   }
-  // Column-inference thresholds (appended; absent on pre-column images, see
-  // the remaining() guard in ReadSedaOptions).
+  // Column-inference thresholds.
   writer->PutU8(options.columns.enabled ? 1 : 0);
   writer->PutDouble(options.columns.min_doc_support);
   writer->PutU64(options.columns.min_docs);
@@ -122,8 +130,16 @@ Result<SedaOptions> ReadSedaOptions(const persist::MappedImage& image) {
   options.dataguide_overlap_threshold = cursor.GetDouble();
   options.resolve_idrefs = cursor.GetU8() != 0;
   options.resolve_xlinks = cursor.GetU8() != 0;
-  options.num_threads = static_cast<size_t>(cursor.GetU64());
-  options.query_threads = static_cast<size_t>(cursor.GetU64());
+  const uint64_t num_threads = cursor.GetU64();
+  const uint64_t query_threads = cursor.GetU64();
+  // Seda::Open sizes its thread pools from these: a hostile count must not
+  // reach a pool constructor.
+  if (num_threads > kMaxThreadCount || query_threads > kMaxThreadCount) {
+    return Status::ParseError("image options ask for more than " +
+                              std::to_string(kMaxThreadCount) + " threads");
+  }
+  options.num_threads = static_cast<size_t>(num_threads);
+  options.query_threads = static_cast<size_t>(query_threads);
   options.topk.k = static_cast<size_t>(cursor.GetU64());
   options.topk.max_candidates_per_term = static_cast<size_t>(cursor.GetU64());
   options.topk.max_per_doc_per_term = static_cast<size_t>(cursor.GetU64());
@@ -142,15 +158,11 @@ Result<SedaOptions> ReadSedaOptions(const persist::MappedImage& image) {
     edge.label = cursor.GetString();
     options.value_edges.push_back(std::move(edge));
   }
-  // Pre-column images end here; the defaults then reproduce the inference a
-  // contemporary commit would have run.
-  if (cursor.remaining() > 0) {
-    options.columns.enabled = cursor.GetU8() != 0;
-    options.columns.min_doc_support = cursor.GetDouble();
-    options.columns.min_docs = cursor.GetU64();
-    options.columns.max_avg_occurrences = cursor.GetDouble();
-    options.columns.max_columns = cursor.GetU64();
-  }
+  options.columns.enabled = cursor.GetU8() != 0;
+  options.columns.min_doc_support = cursor.GetDouble();
+  options.columns.min_docs = cursor.GetU64();
+  options.columns.max_avg_occurrences = cursor.GetDouble();
+  options.columns.max_columns = cursor.GetU64();
   SEDA_RETURN_IF_ERROR(cursor.status());
   return options;
 }
@@ -174,11 +186,11 @@ Status Snapshot::Save(const std::string& path) const {
 }
 
 Result<std::shared_ptr<const Snapshot>> Snapshot::Load(
-    std::shared_ptr<const persist::MappedImage> image, ThreadPool* load_pool,
-    std::shared_ptr<ThreadPool> query_pool) {
+    std::shared_ptr<const persist::MappedImage> image, SedaOptions options,
+    ThreadPool* load_pool, std::shared_ptr<ThreadPool> query_pool) {
   std::shared_ptr<Snapshot> snap(new Snapshot());
   snap->epoch_ = image->epoch();
-  SEDA_ASSIGN_OR_RETURN(snap->options_, ReadSedaOptions(*image));
+  snap->options_ = std::move(options);
   SEDA_ASSIGN_OR_RETURN(snap->store_,
                         store::DocumentStore::LoadFrom(*image, load_pool));
   SEDA_ASSIGN_OR_RETURN(
@@ -189,9 +201,14 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Load(
                                          *image, snap->store_.get()));
   snap->guides_ = std::make_unique<dataguide::DataguideCollection>(
       std::move(guides));
-  // Columns map zero-copy when the image carries them; a pre-column image is
-  // still a full epoch — the projections rebuild from the loaded trees.
-  if (image->HasSection(persist::SectionId::kColumns)) {
+  // Save() writes the columns section exactly when the options enable
+  // columns; a columns-off epoch holds the empty store its commit built.
+  const bool has_columns = image->HasSection(persist::SectionId::kColumns);
+  if (has_columns != snap->options_.columns.enabled) {
+    return Status::ParseError(
+        "image columns section disagrees with its options (columns.enabled)");
+  }
+  if (has_columns) {
     SEDA_ASSIGN_OR_RETURN(snap->columns_,
                           column::ColumnStore::LoadFrom(image, *snap->store_));
   } else {
@@ -204,9 +221,15 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Load(
   return std::shared_ptr<const Snapshot>(std::move(snap));
 }
 
+Result<std::shared_ptr<const Snapshot>> Snapshot::Load(
+    std::shared_ptr<const persist::MappedImage> image) {
+  SEDA_ASSIGN_OR_RETURN(SedaOptions options, ReadSedaOptions(*image));
+  return Load(std::move(image), std::move(options), nullptr, nullptr);
+}
+
 Result<std::shared_ptr<const Snapshot>> Snapshot::Load(const std::string& path) {
   SEDA_ASSIGN_OR_RETURN(auto image, persist::MappedImage::Open(path));
-  return Load(std::move(image), nullptr, nullptr);
+  return Load(std::move(image));
 }
 
 Result<query::Query> Snapshot::Parse(const std::string& text) const {
@@ -258,31 +281,15 @@ Result<SearchResponse> Snapshot::Search(
     });
     for (const Status& status : shard_status) SEDA_RETURN_IF_ERROR(status);
     response.topk = topk::MergeShardTopK(std::move(shard_topk), topk_options.k);
-    // Candidate-set counters (candidates_total, postings_advanced,
-    // docs_skipped) and the borrowing-phase hub skips are computed over the
-    // full candidate set in every shard, so they are identical copies —
-    // keep shard 0's. Scan-side counters partition across shards and sum.
+    // Fold the shards' stats as each counter's merge kind says
+    // (topk/engine_counters.h): copies of shard 0's, sums, or any-of.
     response.stats = shard_stats[0];
-    response.stats.docs_considered = 0;
-    response.stats.docs_scored = 0;
-    response.stats.tuples_scored = 0;
-    response.stats.heap_evictions = 0;
-    response.stats.tuples_trimmed = 0;
-    response.stats.bfs_expansions = 0;
-    response.stats.intersection_probes = 0;
-    response.stats.sketch_hits = 0;
-    response.stats.early_terminated = false;
-    response.stats.deadline_exceeded = false;
-    for (const topk::SearchStats& stats : shard_stats) {
-      response.stats.docs_considered += stats.docs_considered;
-      response.stats.docs_scored += stats.docs_scored;
-      response.stats.tuples_scored += stats.tuples_scored;
-      response.stats.heap_evictions += stats.heap_evictions;
-      response.stats.tuples_trimmed += stats.tuples_trimmed;
-      response.stats.bfs_expansions += stats.bfs_expansions;
-      response.stats.intersection_probes += stats.intersection_probes;
-      response.stats.sketch_hits += stats.sketch_hits;
-      response.stats.early_terminated |= stats.early_terminated;
+    for (size_t s = 1; s < shards; ++s) {
+      const topk::SearchStats& stats = shard_stats[s];
+#define SEDA_MERGE_SHARD(field, merge, metric, help) \
+  MergeShard##merge(&response.stats.field, stats.field);
+      SEDA_ENGINE_COUNTERS(SEDA_MERGE_SHARD)
+#undef SEDA_MERGE_SHARD
       response.stats.deadline_exceeded |= stats.deadline_exceeded;
     }
   } else {

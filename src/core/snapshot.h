@@ -34,6 +34,10 @@ struct SearchResponse {
   topk::SearchStats stats;
 };
 
+/// The most threads an image's options may ask for (num_threads,
+/// query_threads); ReadSedaOptions rejects a larger count.
+inline constexpr size_t kMaxThreadCount = 1024;
+
 /// Configuration of a Seda instance, fixed by the first commit (Finalize())
 /// and reused by every later Commit().
 struct SedaOptions {
@@ -112,9 +116,14 @@ class Snapshot {
   /// making reopen O(image size) instead of O(re-ingestion). The loaded
   /// snapshot is a full epoch: it serves queries (scoring fans out over
   /// `query_pool` when given) and can be the base of further Commit()s.
+  /// `options` are the image's own, read once by the caller
+  /// (ReadSedaOptions) — Seda::Open sizes both pools from them.
   static Result<std::shared_ptr<const Snapshot>> Load(
-      std::shared_ptr<const persist::MappedImage> image, ThreadPool* load_pool,
-      std::shared_ptr<ThreadPool> query_pool);
+      std::shared_ptr<const persist::MappedImage> image, SedaOptions options,
+      ThreadPool* load_pool, std::shared_ptr<ThreadPool> query_pool);
+  /// Single-threaded load that reads the options itself (tools, tests).
+  static Result<std::shared_ptr<const Snapshot>> Load(
+      std::shared_ptr<const persist::MappedImage> image);
   static Result<std::shared_ptr<const Snapshot>> Load(const std::string& path);
 
   /// Commit epoch id: 1 for the Finalize() epoch, +1 per Commit().
@@ -147,7 +156,7 @@ class Snapshot {
   /// Context refinement (§5): restricts each term to the chosen context
   /// paths (empty vector = keep the term as is) and returns the refined
   /// query for a new Search round. Pure query rewrite — needs no epoch
-  /// state, shared here by Session and the legacy Seda facade.
+  /// state.
   static Result<query::Query> RefineContexts(
       const query::Query& query,
       const std::vector<std::vector<std::string>>& chosen_paths);
@@ -199,7 +208,8 @@ class Snapshot {
 
 /// SedaOptions codec for the image's options section, shared by
 /// Snapshot::Save/Load and Seda::Open (which must restore the options before
-/// it can size the thread pools).
+/// it can size the thread pools). ReadSedaOptions fails with ParseError on a
+/// truncated section or a thread count above kMaxThreadCount.
 void WriteSedaOptions(persist::ImageWriter* writer, const SedaOptions& options);
 Result<SedaOptions> ReadSedaOptions(const persist::MappedImage& image);
 

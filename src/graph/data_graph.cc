@@ -150,15 +150,11 @@ Result<std::unique_ptr<DataGraph>> DataGraph::LoadFrom(
              labels[label]});
   }
   SEDA_RETURN_IF_ERROR(cursor.status());
-  if (image->HasSection(persist::SectionId::kGraphCsr)) {
-    SEDA_ASSIGN_OR_RETURN(graph->csr_,
-                          Csr::LoadFrom(image, *store, graph->edges_));
-  } else if (!graph->BuildCsr()) {
-    // Pre-CSR image: the adjacency is rebuilt from the log (no format
-    // break), which needs every endpoint to name a stored non-text node.
-    return Status::ParseError(
-        "image graph edge endpoint does not resolve to a stored node");
+  if (!image->HasSection(persist::SectionId::kGraphCsr)) {
+    return Status::ParseError("image has no graph CSR section");
   }
+  SEDA_ASSIGN_OR_RETURN(graph->csr_,
+                        Csr::LoadFrom(image, *store, graph->edges_));
   return graph;
 }
 

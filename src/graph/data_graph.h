@@ -143,9 +143,10 @@ class DataGraph {
   /// Persistence hooks (src/persist/): writes the edge log with a label
   /// string pool (plus the CSR arrays when built) / reconstructs a graph
   /// over `store` from the log, mapping the CSR section zero-copy —
-  /// `image` is retained by the kernels — or rebuilding it when absent
-  /// (pre-CSR images load unchanged; no format break). An edge endpoint
-  /// that does not resolve to a stored non-text node is a ParseError.
+  /// `image` is retained by the kernels. Every snapshot commits a built
+  /// CSR, so an opened image always carries the CSR section; an image
+  /// without one, or with an edge endpoint that does not resolve to a
+  /// stored non-text node, is a ParseError.
   Status SaveTo(persist::ImageWriter* writer) const;
   static Result<std::unique_ptr<DataGraph>> LoadFrom(
       std::shared_ptr<const persist::MappedImage> image,

@@ -50,12 +50,10 @@ enum class SectionId : uint32_t {
                     ///< -> paths + count range, path -> nodes table
   kDataguides = 7,  ///< dataguide summary: guides, stats, path-level links
   kGraphCsr = 8,    ///< CSR graph-kernel arrays (all-u32, mapped zero-copy);
-                    ///< optional — absent sections are rebuilt from the edge
-                    ///< log, so pre-CSR images load unchanged
+                    ///< required
   kColumns = 9,     ///< schema-inferred columnar projections (src/column/):
-                    ///< flat row/dictionary arrays mapped zero-copy; optional
-                    ///< — absent sections are rebuilt from the document
-                    ///< trees, so pre-column images load unchanged
+                    ///< flat row/dictionary arrays mapped zero-copy; present
+                    ///< exactly when the options enable columns
 };
 
 const char* SectionName(SectionId id);

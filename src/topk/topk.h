@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "query/query.h"
 #include "text/inverted_index.h"
+#include "topk/engine_counters.h"
 
 namespace seda {
 class ThreadPool;
@@ -30,29 +31,13 @@ struct ScoredTuple {
   std::string ToString(const store::DocumentStore& store) const;
 };
 
-/// Execution counters for the ablation benches.
+/// What one search did: the engine counters (topk/engine_counters.h), which
+/// api::SedaService returns in every response's stats block and accumulates
+/// into its seda_engine_*_total metrics, plus the request-level outcome.
+/// Graph-kernel counters are summed over connection scoring in
+/// tuple-enumeration order, so any worker count reports identical stats.
 struct SearchStats {
-  uint64_t candidates_total = 0;     ///< candidate nodes across all terms
-  uint64_t docs_considered = 0;      ///< candidate documents examined
-  uint64_t docs_scored = 0;          ///< documents whose tuples were enumerated
-  uint64_t tuples_scored = 0;        ///< tuples fully scored (ConnectionSize calls)
-  bool early_terminated = false;     ///< TA threshold fired before exhausting docs
-  // Cursor-level counters (streaming candidate construction, src/exec/):
-  uint64_t postings_advanced = 0;    ///< posting entries / universe nodes stepped
-  uint64_t docs_skipped = 0;         ///< doc distance jumped by cursor seeks
-  uint64_t heap_evictions = 0;       ///< top-k bounded heap displacements
-  // Hub/budget trimming (ROADMAP perf-cliff fix; see TopKOptions):
-  uint64_t hub_links_skipped = 0;    ///< cross-doc links dropped at hub nodes
-  uint64_t tuples_trimmed = 0;       ///< tuples skipped by the per-query budget
-  // Graph-kernel counters (graph/csr.h), summed over connection scoring in
-  // tuple-enumeration order so any worker count reports identical stats:
-  uint64_t bfs_expansions = 0;       ///< nodes expanded by the frontier BFS
-  uint64_t intersection_probes = 0;  ///< sorted-row elements examined
-  uint64_t sketch_hits = 0;          ///< distance queries answered by a sketch
-  // Columnar cube-extraction counters (column/column_store.h; populated by
-  // the cube endpoint only — searches leave them 0):
-  uint64_t column_rows_scanned = 0;   ///< column row lookups performed
-  uint64_t column_fallback_docs = 0;  ///< result tuples that touched the tree
+  SEDA_ENGINE_COUNTERS(SEDA_ENGINE_COUNTER_FIELD)
   /// The per-request deadline (TopKOptions::deadline_ms) fired and the scan
   /// stopped with unexamined documents remaining: the returned top-k is the
   /// best of what was scored in time, not the full TA fixpoint. Surfaced in
@@ -181,7 +166,8 @@ class TopKSearcher {
                                           SearchStats* stats = nullptr) const;
 
   /// TA search over a pre-built candidate set (one cursor evaluation shared
-  /// across the engine and the summary generators; see Seda::Search).
+  /// across the engine and the summary generators; see
+  /// core::Snapshot::Search).
   Result<std::vector<ScoredTuple>> Search(const query::Query& query,
                                           const TopKOptions& options,
                                           const exec::CandidateSet& candidates,

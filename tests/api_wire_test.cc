@@ -45,6 +45,8 @@ StatsDto SampleStats() {
   stats.bfs_expansions = 4242;
   stats.intersection_probes = 171717;
   stats.sketch_hits = 13;
+  stats.column_rows_scanned = 5150;
+  stats.column_fallback_docs = 2;
   return stats;
 }
 
@@ -79,6 +81,21 @@ TEST(WireTest, WireStatusRoundTripsThroughStatus) {
 TEST(WireTest, StatsByteStable) {
   ExpectByteStable(SampleStats(), DecodeStatsDto, "stats");
   ExpectByteStable(StatsDto{}, DecodeStatsDto, "default stats");
+}
+
+// The stats block's exact bytes, key order included, are part of the wire
+// contract: responses are compared byte for byte across builds and serving
+// modes, so the engine-counter list must keep this order.
+TEST(WireTest, StatsGoldenBytes) {
+  EXPECT_EQ(Encode(SampleStats()),
+            R"({"epoch":7,"elapsed_ms":12.75,"deadline_ms":50,)"
+            R"("deadline_exceeded":true,"candidates_total":12345,)"
+            R"("docs_considered":99,"docs_scored":42,"tuples_scored":1000,)"
+            R"("early_terminated":true,"postings_advanced":77,)"
+            R"("docs_skipped":3,"heap_evictions":8,"hub_links_skipped":0,)"
+            R"("tuples_trimmed":18446744073709551615,"bfs_expansions":4242,)"
+            R"("intersection_probes":171717,"sketch_hits":13,)"
+            R"("column_rows_scanned":5150,"column_fallback_docs":2})");
 }
 
 TEST(WireTest, NodeRefByteStable) {

@@ -103,7 +103,7 @@ TEST(AuditTest, CleanOnReopenedImageIncludingImageChecks) {
   }
   auto image = persist::MappedImage::Open(path);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
-  auto snapshot = core::Snapshot::Load(*image, nullptr, nullptr);
+  auto snapshot = core::Snapshot::Load(*image);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   AuditReport report = (*snapshot)->Audit(**image);
   EXPECT_TRUE(report.ok()) << report.ToString();

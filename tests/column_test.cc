@@ -358,11 +358,12 @@ TEST(ColumnCubeTest, RelativeStepsIncrementalEpochsAndReopenedImages) {
   ASSERT_TRUE(writer.Finalize().ok());
   cube::Catalog catalog = Fig3Catalog();
 
-  auto query = writer.Parse(
+  auto query = query::ParseQuery(
       R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
   ASSERT_TRUE(query.ok());
   auto result =
-      writer.CompleteResults(query.value(), {kName, kTrade, kPct}, {});
+      writer.snapshot()->CompleteResults(query.value(), {kName, kTrade, kPct},
+                                        {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   {
     auto snap = writer.snapshot();
@@ -378,7 +379,8 @@ TEST(ColumnCubeTest, RelativeStepsIncrementalEpochsAndReopenedImages) {
   }
   ASSERT_TRUE(writer.Commit().ok());
   auto grown =
-      writer.CompleteResults(query.value(), {kName, kTrade, kPct}, {});
+      writer.snapshot()->CompleteResults(query.value(), {kName, kTrade, kPct},
+                                        {});
   ASSERT_TRUE(grown.ok());
   {
     auto snap = writer.snapshot();
@@ -394,7 +396,8 @@ TEST(ColumnCubeTest, RelativeStepsIncrementalEpochsAndReopenedImages) {
   EXPECT_EQ(reader.snapshot()->columns().size(),
             writer.snapshot()->columns().size());
   auto reopened =
-      reader.CompleteResults(query.value(), {kName, kTrade, kPct}, {});
+      reader.snapshot()->CompleteResults(query.value(), {kName, kTrade, kPct},
+                                        {});
   ASSERT_TRUE(reopened.ok());
   {
     auto snap = reader.snapshot();
@@ -411,7 +414,7 @@ TEST(ColumnCubeTest, RelativeStepsIncrementalEpochsAndReopenedImages) {
   std::remove(path.c_str());
 }
 
-// --- Persistence: stability, rebuild-when-absent, corruption ------------
+// --- Persistence: stability, section/options agreement, corruption -----
 
 TEST(ColumnPersistTest, SaveOpenSaveIsByteStable) {
   core::Seda writer;
@@ -449,50 +452,64 @@ size_t FindSection(const std::string& image, persist::SectionId id,
   return std::string::npos;
 }
 
-TEST(ColumnPersistTest, AbsentSectionRebuildsFromTheTrees) {
-  // Emulates a pre-column image: no kColumns section, but options that ask
-  // for columns (the tail byte is flipped from disabled to enabled and the
-  // CRCs re-sealed — exactly the shape an old writer's image has after the
-  // options tail defaulting kicks in).
-  core::SedaOptions options;
-  options.columns.enabled = false;
-  core::Seda writer;
-  data::PopulateScenario(writer.mutable_store());
-  ASSERT_TRUE(writer.Finalize(options).ok());
-  EXPECT_EQ(writer.snapshot()->columns().size(), 0u);
-  std::string path = TempImagePath("absent");
-  ASSERT_TRUE(writer.Save(path).ok());
-
+/// Rewrites the options section's column-enable byte (the first of the
+/// 33-byte InferenceOptions tail: u8 enabled + double + u64 + double + u64)
+/// and re-seals its CRC, so only the load-time consistency check sees it.
+void SetColumnsEnabledByte(const std::string& path, uint8_t enabled) {
   std::string image = ReadFile(path);
   persist::SectionEntry entry;
   size_t entry_at = 0;
-  ASSERT_EQ(FindSection(image, persist::SectionId::kColumns, &entry, &entry_at),
-            std::string::npos)
-      << "disabled save still wrote a columns section";
   ASSERT_NE(FindSection(image, persist::SectionId::kOptions, &entry, &entry_at),
             std::string::npos);
-  // The InferenceOptions tail sits at the end of the options payload:
-  // u8 enabled + double + u64 + double + u64 = 33 bytes.
-  const size_t enabled_at = entry.offset + entry.size - 33;
-  ASSERT_EQ(image[enabled_at], 0);
-  image[enabled_at] = 1;
+  image[entry.offset + entry.size - 33] = static_cast<char>(enabled);
   entry.crc = persist::Crc32(image.data() + entry.offset,
                              static_cast<size_t>(entry.size));
   std::memcpy(image.data() + entry_at, &entry, sizeof(entry));
   WriteFile(path, image);
+}
 
-  core::Seda reader;
-  Status opened = reader.Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.ToString();
-  EXPECT_GT(reader.snapshot()->columns().size(), 0u)
-      << "absent section was not rebuilt from the trees";
-  // The rebuild is the same deterministic Build() a commit runs: it must
-  // match a from-scratch enabled instance column for column.
+TEST(ColumnPersistTest, SectionMustMatchTheOptions) {
+  // A columns-off image carries no kColumns section and reopens with an
+  // empty column store.
+  core::SedaOptions options;
+  options.columns.enabled = false;
+  core::Seda disabled;
+  data::PopulateScenario(disabled.mutable_store());
+  ASSERT_TRUE(disabled.Finalize(options).ok());
+  std::string path = TempImagePath("absent");
+  ASSERT_TRUE(disabled.Save(path).ok());
+  persist::SectionEntry entry;
+  size_t entry_at = 0;
+  ASSERT_EQ(FindSection(ReadFile(path), persist::SectionId::kColumns, &entry,
+                        &entry_at),
+            std::string::npos)
+      << "disabled save still wrote a columns section";
+  {
+    core::Seda reader;
+    Status opened = reader.Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    EXPECT_EQ(reader.snapshot()->columns().size(), 0u);
+  }
+
+  // Options that ask for columns, but no section: rejected, not rebuilt.
+  SetColumnsEnabledByte(path, 1);
+  {
+    core::Seda reader;
+    Status opened = reader.Open(path);
+    EXPECT_EQ(opened.code(), StatusCode::kParseError) << opened.ToString();
+  }
+
+  // The converse: a columns section the options disown.
   core::Seda enabled;
   data::PopulateScenario(enabled.mutable_store());
   ASSERT_TRUE(enabled.Finalize().ok());
-  ASSERT_EQ(reader.snapshot()->columns().size(),
-            enabled.snapshot()->columns().size());
+  ASSERT_TRUE(enabled.Save(path).ok());
+  SetColumnsEnabledByte(path, 0);
+  {
+    core::Seda reader;
+    Status opened = reader.Open(path);
+    EXPECT_EQ(opened.code(), StatusCode::kParseError) << opened.ToString();
+  }
   std::remove(path.c_str());
 }
 

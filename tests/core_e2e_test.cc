@@ -40,9 +40,11 @@ class EndToEndTest : public ::testing::Test {
                                  {{kPct, cube::RelativeKey::Parse(
                                              {kName, kYear, "../trade_country"})}})
                     .ok());
+    snap_ = seda_.snapshot();
   }
 
   Seda seda_;
+  std::shared_ptr<const Snapshot> snap_;  // the Finalize() epoch
 };
 
 TEST_F(EndToEndTest, FinalizeOnlyOnce) {
@@ -52,11 +54,12 @@ TEST_F(EndToEndTest, FinalizeOnlyOnce) {
 
 TEST_F(EndToEndTest, SearchBeforeFinalizeFails) {
   Seda fresh;
-  EXPECT_FALSE(fresh.Search("(a, b)").ok());
+  EXPECT_EQ(fresh.snapshot(), nullptr);
+  EXPECT_FALSE(fresh.NewSession().ok());
 }
 
 TEST_F(EndToEndTest, Query1SearchReturnsTopKAndSummaries) {
-  auto response = seda_.Search(
+  auto response = snap_->Search(
       R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_FALSE(response.value().topk.empty());
@@ -69,35 +72,37 @@ TEST_F(EndToEndTest, Query1SearchReturnsTopKAndSummaries) {
 }
 
 TEST_F(EndToEndTest, RefinementNarrowsContexts) {
-  auto query = seda_.Parse(
+  auto query = query::ParseQuery(
       R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
   ASSERT_TRUE(query.ok());
-  auto refined = seda_.RefineContexts(query.value(), {{kName}, {kTrade}, {kPct}});
+  auto refined =
+      Snapshot::RefineContexts(query.value(), {{kName}, {kTrade}, {kPct}});
   ASSERT_TRUE(refined.ok());
-  auto response = seda_.Search(refined.value());
+  auto response = snap_->Search(refined.value());
   ASSERT_TRUE(response.ok());
   for (const auto& bucket : response.value().contexts.buckets) {
     EXPECT_EQ(bucket.entries.size(), 1u);
   }
   // After refinement every top-k tuple is in the import context.
   for (const auto& tuple : response.value().topk) {
-    EXPECT_EQ(seda_.store().paths().PathString(tuple.nodes[1].path), kTrade);
+    EXPECT_EQ(snap_->store().paths().PathString(tuple.nodes[1].path), kTrade);
   }
 }
 
 TEST_F(EndToEndTest, RefineContextsValidation) {
-  auto query = seda_.Parse("(a, b)");
+  auto query = query::ParseQuery("(a, b)");
   ASSERT_TRUE(query.ok());
-  EXPECT_FALSE(seda_.RefineContexts(query.value(), {{"/x"}, {"/y"}}).ok());
-  EXPECT_FALSE(seda_.RefineContexts(query.value(), {{"not-absolute"}}).ok());
+  EXPECT_FALSE(Snapshot::RefineContexts(query.value(), {{"/x"}, {"/y"}}).ok());
+  EXPECT_FALSE(
+      Snapshot::RefineContexts(query.value(), {{"not-absolute"}}).ok());
 }
 
 TEST_F(EndToEndTest, ConnectionSummaryShowsTwoWaysAfterRefinement) {
-  auto query = seda_.Parse("(trade_country, *) AND (percentage, *)");
+  auto query = query::ParseQuery("(trade_country, *) AND (percentage, *)");
   ASSERT_TRUE(query.ok());
-  auto refined = seda_.RefineContexts(query.value(), {{kTrade}, {kPct}});
+  auto refined = Snapshot::RefineContexts(query.value(), {{kTrade}, {kPct}});
   ASSERT_TRUE(refined.ok());
-  auto response = seda_.Search(refined.value());
+  auto response = snap_->Search(refined.value());
   ASSERT_TRUE(response.ok());
   // Paper §6: two different ways to connect trade_country and percentage.
   std::set<size_t> lengths;
@@ -109,21 +114,22 @@ TEST_F(EndToEndTest, ConnectionSummaryShowsTwoWaysAfterRefinement) {
 }
 
 TEST_F(EndToEndTest, CompleteResultsAndFigure3Cube) {
-  auto query = seda_.Parse(
+  auto query = query::ParseQuery(
       R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
   ASSERT_TRUE(query.ok());
-  auto result = seda_.CompleteResults(query.value(), {kName, kTrade, kPct}, {});
+  auto result =
+      snap_->CompleteResults(query.value(), {kName, kTrade, kPct}, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().tuples.size(), 8u);
 
-  auto schema = seda_.BuildCube(result.value());
+  auto schema = snap_->BuildCube(result.value(), seda_.catalog(), {});
   ASSERT_TRUE(schema.ok()) << schema.status().ToString();
   ASSERT_EQ(schema.value().fact_tables.size(), 1u);
   EXPECT_EQ(schema.value().fact_tables[0].columns,
             (std::vector<std::string>{"country", "year", "import-country",
                                       "import-trade-percentage"}));
 
-  auto cube = seda_.ToOlapCube(schema.value());
+  auto cube = snap_->ToOlapCube(schema.value());
   ASSERT_TRUE(cube.ok());
   auto by_partner = cube.value().Aggregate({"import-country"}, olap::AggFn::kAvg,
                                            "import-trade-percentage");
@@ -132,11 +138,11 @@ TEST_F(EndToEndTest, CompleteResultsAndFigure3Cube) {
 }
 
 TEST_F(EndToEndTest, ChosenConnectionFromSummaryIsExecutable) {
-  auto query = seda_.Parse("(trade_country, *) AND (percentage, *)");
+  auto query = query::ParseQuery("(trade_country, *) AND (percentage, *)");
   ASSERT_TRUE(query.ok());
-  auto refined = seda_.RefineContexts(query.value(), {{kTrade}, {kPct}});
+  auto refined = Snapshot::RefineContexts(query.value(), {{kTrade}, {kPct}});
   ASSERT_TRUE(refined.ok());
-  auto response = seda_.Search(refined.value());
+  auto response = snap_->Search(refined.value());
   ASSERT_TRUE(response.ok());
   // Pick the shortest (same-item) connection from the summary and execute.
   const summary::ConnectionEntry* shortest = nullptr;
@@ -150,8 +156,8 @@ TEST_F(EndToEndTest, ChosenConnectionFromSummaryIsExecutable) {
   auto chosen = twig::ChosenConnection::FromDataguideConnection(
       0, 1, shortest->connection);
   ASSERT_TRUE(chosen.ok());
-  auto result = seda_.CompleteResults(refined.value(), {kTrade, kPct},
-                                      {chosen.value()});
+  auto result = snap_->CompleteResults(refined.value(), {kTrade, kPct},
+                                       {chosen.value()});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Same-item pairs: 9 items with both children across scenario docs
   // (us-2002 x2, us-2004 x2, us-2005 x2, us-2006 x2, mexico-2003 x2 = 10).
@@ -161,17 +167,17 @@ TEST_F(EndToEndTest, ChosenConnectionFromSummaryIsExecutable) {
 TEST_F(EndToEndTest, ValueBasedEdgesJoinFactbookAndFactbook) {
   // trade_partner value edges let a country tuple connect to the documents
   // importing from it (paper Figure 1's trade_partner dashed edge).
-  EXPECT_GT(seda_.data_graph().EdgeCount(), 4u);  // 4 idref + value edges
+  EXPECT_GT(snap_->data_graph().EdgeCount(), 4u);  // 4 idref + value edges
 }
 
 TEST_F(EndToEndTest, DataguideStatisticsExposed) {
-  EXPECT_GT(seda_.dataguides().size(), 0u);
-  EXPECT_EQ(seda_.dataguides().build_stats().documents, 11u);
-  EXPECT_GT(seda_.dataguides().LinkCount(), 0u);
+  EXPECT_GT(snap_->dataguides().size(), 0u);
+  EXPECT_EQ(snap_->dataguides().build_stats().documents, 11u);
+  EXPECT_GT(snap_->dataguides().LinkCount(), 0u);
 }
 
 TEST_F(EndToEndTest, BadQuerySyntaxSurfacesParseError) {
-  EXPECT_FALSE(seda_.Search("not a query").ok());
+  EXPECT_FALSE(snap_->Search("not a query").ok());
 }
 
 }  // namespace

@@ -188,9 +188,9 @@ TEST(EngineEquivalenceTest, SedaSearchByteIdenticalAcrossQueryThreads) {
   };
   for (const char* text : queries) {
     SCOPED_TRACE(text);
-    auto r1 = seda1->Search(text);
-    auto r2 = seda2->Search(text);
-    auto r8 = seda8->Search(text);
+    auto r1 = seda1->snapshot()->Search(text);
+    auto r2 = seda2->snapshot()->Search(text);
+    auto r8 = seda8->snapshot()->Search(text);
     ASSERT_TRUE(r1.ok() && r2.ok() && r8.ok());
     std::string s1 = SerializeResponse(r1.value());
     EXPECT_EQ(s1, SerializeResponse(r2.value()));

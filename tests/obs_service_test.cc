@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/service.h"
@@ -84,18 +86,27 @@ TEST_F(ObsServiceTest, StatzAndMetricsAgree) {
         << method.method;
   }
 
-  // Cumulative engine counters round-trip too.
+  // Cumulative engine counters round-trip too, every one of them.
   const StatsDto& c = statz.cumulative;
-  EXPECT_EQ(SeriesValue(text, "seda_engine_candidates_total"),
-            static_cast<double>(c.candidates_total));
-  EXPECT_EQ(SeriesValue(text, "seda_engine_docs_considered_total"),
-            static_cast<double>(c.docs_considered));
-  EXPECT_EQ(SeriesValue(text, "seda_engine_docs_scored_total"),
-            static_cast<double>(c.docs_scored));
-  EXPECT_EQ(SeriesValue(text, "seda_engine_tuples_scored_total"),
-            static_cast<double>(c.tuples_scored));
-  EXPECT_EQ(SeriesValue(text, "seda_engine_postings_advanced_total"),
-            static_cast<double>(c.postings_advanced));
+  const std::pair<const char*, uint64_t> engine[] = {
+      {"seda_engine_candidates_total", c.candidates_total},
+      {"seda_engine_docs_considered_total", c.docs_considered},
+      {"seda_engine_docs_scored_total", c.docs_scored},
+      {"seda_engine_tuples_scored_total", c.tuples_scored},
+      {"seda_engine_postings_advanced_total", c.postings_advanced},
+      {"seda_engine_docs_skipped_total", c.docs_skipped},
+      {"seda_engine_heap_evictions_total", c.heap_evictions},
+      {"seda_engine_hub_links_skipped_total", c.hub_links_skipped},
+      {"seda_engine_tuples_trimmed_total", c.tuples_trimmed},
+      {"seda_engine_bfs_expansions_total", c.bfs_expansions},
+      {"seda_engine_intersection_probes_total", c.intersection_probes},
+      {"seda_engine_sketch_hits_total", c.sketch_hits},
+      {"seda_engine_column_rows_scanned_total", c.column_rows_scanned},
+      {"seda_engine_column_fallback_docs_total", c.column_fallback_docs},
+  };
+  for (const auto& [series, value] : engine) {
+    EXPECT_EQ(SeriesValue(text, series), static_cast<double>(value)) << series;
+  }
   EXPECT_GT(c.candidates_total, 0u);
 
   // Session gauges.
@@ -117,6 +128,42 @@ TEST_F(ObsServiceTest, MetriczEnvelopeServesExposition) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE seda_request_latency_ms histogram"),
             std::string::npos);
+  // Every engine counter family, with its exact help text.
+  const std::pair<const char*, const char*> engine[] = {
+      {"seda_engine_bfs_expansions_total",
+       "Connection-scoring BFS expansions."},
+      {"seda_engine_candidates_total",
+       "Candidate nodes produced by term lookups."},
+      {"seda_engine_column_fallback_docs_total",
+       "Cube result tuples extracted via the tree-walk fallback."},
+      {"seda_engine_column_rows_scanned_total",
+       "Columnar row lookups during cube extraction."},
+      {"seda_engine_docs_considered_total", "Documents entering the TA scan."},
+      {"seda_engine_docs_scored_total",
+       "Documents fully scored by the TA scan."},
+      {"seda_engine_docs_skipped_total", "Documents pruned before scoring."},
+      {"seda_engine_heap_evictions_total", "Top-k heap evictions."},
+      {"seda_engine_hub_links_skipped_total",
+       "Hub links skipped while scoring."},
+      {"seda_engine_intersection_probes_total",
+       "Adjacency intersection probes (graph kernels)."},
+      {"seda_engine_postings_advanced_total", "Posting cursor advances."},
+      {"seda_engine_sketch_hits_total", "2-hop sketch hits (graph kernels)."},
+      {"seda_engine_tuples_scored_total", "Term-node tuples scored."},
+      {"seda_engine_tuples_trimmed_total",
+       "Tuples trimmed by per-doc budgets."},
+  };
+  for (const auto& [family, help] : engine) {
+    const std::string header = std::string("# HELP ") + family + " " + help +
+                               "\n# TYPE " + family + " counter\n";
+    EXPECT_NE(text.find(header), std::string::npos) << header;
+  }
+  size_t families = 0;
+  for (size_t at = text.find("# TYPE seda_engine_"); at != std::string::npos;
+       at = text.find("# TYPE seda_engine_", at + 1)) {
+    ++families;
+  }
+  EXPECT_EQ(families, std::size(engine));
   // A request counts itself only after rendering its response, so the first
   // scrape shows metricz at 0 and the second shows the first.
   EXPECT_EQ(SeriesValue(text, "seda_requests_total{method=\"metricz\"}"), 0.0);

@@ -107,18 +107,18 @@ core::SedaOptions PipelineOptions(size_t num_threads) {
 }
 
 /// Canonical dump of everything Finalize() builds that queries observe.
-std::string FinalizeFingerprint(const core::Seda& seda) {
+std::string FinalizeFingerprint(const core::Snapshot& snap) {
   std::string out;
-  out += "docs=" + std::to_string(seda.store().DocumentCount());
-  out += " nodes=" + std::to_string(seda.store().TotalNodeCount());
-  out += " paths=" + std::to_string(seda.store().paths().size());
-  out += " edges=" + std::to_string(seda.data_graph().EdgeCount());
-  out += " terms=" + std::to_string(seda.index().TermCount());
-  out += " indexed=" + std::to_string(seda.index().IndexedNodeCount());
+  out += "docs=" + std::to_string(snap.store().DocumentCount());
+  out += " nodes=" + std::to_string(snap.store().TotalNodeCount());
+  out += " paths=" + std::to_string(snap.store().paths().size());
+  out += " edges=" + std::to_string(snap.data_graph().EdgeCount());
+  out += " terms=" + std::to_string(snap.index().TermCount());
+  out += " indexed=" + std::to_string(snap.index().IndexedNodeCount());
   out += "\n";
 
   // Full dataguide summary: per-guide path ids and member docs, in order.
-  const auto& guides = seda.dataguides();
+  const auto& guides = snap.dataguides();
   out += "guides=" + std::to_string(guides.size());
   out += " merges=" + std::to_string(guides.build_stats().merges);
   out += " absorbed=" + std::to_string(guides.build_stats().absorbed);
@@ -135,8 +135,8 @@ std::string FinalizeFingerprint(const core::Seda& seda) {
   for (const char* term : {"united", "states", "city", "population", "gdp",
                            "trade_country", "delta"}) {
     out += std::string("t:") + term;
-    out += " df=" + std::to_string(seda.index().DocumentFrequency(term));
-    const text::PostingList postings = seda.index().Postings(term);
+    out += " df=" + std::to_string(snap.index().DocumentFrequency(term));
+    const text::PostingList postings = snap.index().Postings(term);
     for (size_t i = 0; i < postings.size(); ++i) {
       out += " " + postings.node(i).ToString() + "/" +
              std::to_string(postings.path(i));
@@ -145,7 +145,7 @@ std::string FinalizeFingerprint(const core::Seda& seda) {
       }
     }
     out += " paths:";
-    for (auto path : seda.index().TermPaths(term)) {
+    for (auto path : snap.index().TermPaths(term)) {
       out += " " + std::to_string(path);
     }
     out += "\n";
@@ -162,21 +162,22 @@ TEST(FinalizeParallelDeterminism, OneVsManyWorkersProduceIdenticalIndexes) {
   LoadCorpus(&parallel);
   ASSERT_TRUE(parallel.Finalize(PipelineOptions(4)).ok());
 
-  EXPECT_EQ(FinalizeFingerprint(sequential), FinalizeFingerprint(parallel));
+  EXPECT_EQ(FinalizeFingerprint(*sequential.snapshot()),
+            FinalizeFingerprint(*parallel.snapshot()));
 
   // Search results must match end to end: top-k tuples, context summary and
   // connection summary all derive from the merged indexes.
   const std::string query =
       R"((*, "United States") AND (trade_country, *) AND (percentage, *))";
-  auto seq_response = sequential.Search(query);
-  auto par_response = parallel.Search(query);
+  auto seq_response = sequential.snapshot()->Search(query);
+  auto par_response = parallel.snapshot()->Search(query);
   ASSERT_TRUE(seq_response.ok()) << seq_response.status().ToString();
   ASSERT_TRUE(par_response.ok()) << par_response.status().ToString();
 
   ASSERT_EQ(seq_response->topk.size(), par_response->topk.size());
   for (size_t i = 0; i < seq_response->topk.size(); ++i) {
-    EXPECT_EQ(seq_response->topk[i].ToString(sequential.store()),
-              par_response->topk[i].ToString(parallel.store()));
+    EXPECT_EQ(seq_response->topk[i].ToString(sequential.snapshot()->store()),
+              par_response->topk[i].ToString(parallel.snapshot()->store()));
     EXPECT_DOUBLE_EQ(seq_response->topk[i].score, par_response->topk[i].score);
   }
   EXPECT_EQ(seq_response->connections.ToString(),
@@ -195,7 +196,7 @@ TEST(FinalizeParallelDeterminism, RepeatedParallelRunsAreStable) {
     core::Seda seda;
     LoadCorpus(&seda);
     ASSERT_TRUE(seda.Finalize(PipelineOptions(4)).ok());
-    fingerprints.insert(FinalizeFingerprint(seda));
+    fingerprints.insert(FinalizeFingerprint(*seda.snapshot()));
   }
   EXPECT_EQ(fingerprints.size(), 1u);
 }
@@ -209,9 +210,9 @@ TEST(SedaAddXml, DeferredParseAssignsPromisedDocIds) {
   EXPECT_EQ(a.value(), 0u);
   EXPECT_EQ(b.value(), 1u);
   ASSERT_TRUE(seda.Finalize().ok());
-  EXPECT_EQ(seda.store().DocumentCount(), 2u);
-  EXPECT_EQ(seda.store().document(a.value()).name(), "a.xml");
-  EXPECT_EQ(seda.store().document(b.value()).name(), "b.xml");
+  EXPECT_EQ(seda.snapshot()->store().DocumentCount(), 2u);
+  EXPECT_EQ(seda.snapshot()->store().document(a.value()).name(), "a.xml");
+  EXPECT_EQ(seda.snapshot()->store().document(b.value()).name(), "b.xml");
 }
 
 TEST(SedaAddXml, StagedAfterFinalizeUntilCommit) {
@@ -224,15 +225,15 @@ TEST(SedaAddXml, StagedAfterFinalizeUntilCommit) {
   auto late = seda.AddXml("<a><b>late</b></a>", "late.xml");
   ASSERT_TRUE(late.ok());
   EXPECT_EQ(late.value(), 1u);
-  EXPECT_EQ(seda.store().DocumentCount(), 1u);
+  EXPECT_EQ(seda.snapshot()->store().DocumentCount(), 1u);
 
   auto info = seda.Commit();
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->epoch, 2u);
   EXPECT_EQ(info->docs_added, 1u);
   EXPECT_TRUE(info->incremental);
-  EXPECT_EQ(seda.store().DocumentCount(), 2u);
-  EXPECT_EQ(seda.store().document(late.value()).name(), "late.xml");
+  EXPECT_EQ(seda.snapshot()->store().DocumentCount(), 2u);
+  EXPECT_EQ(seda.snapshot()->store().document(late.value()).name(), "late.xml");
 }
 
 TEST(SedaAddXml, CommitBeforeFinalizeRejected) {

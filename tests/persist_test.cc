@@ -146,13 +146,13 @@ TEST(PersistTest, SaveThenOpenServesByteIdenticalResponses) {
   for (const char* query :
        {kQuery1, R"((name, *))", R"((*, "Pacific Ocean") AND (name, *))",
         R"((GDP, *) AND (name, "United States"))"}) {
-    auto expected = writer.Search(query);
-    auto loaded = reader.Search(query);
+    auto expected = writer.snapshot()->Search(query);
+    auto loaded = reader.snapshot()->Search(query);
     ASSERT_TRUE(expected.ok()) << query;
     ASSERT_TRUE(loaded.ok()) << query;
     // Epoch included: a loaded epoch is the same epoch, end to end.
-    EXPECT_EQ(ResponseFingerprint(expected.value(), writer.store()),
-              ResponseFingerprint(loaded.value(), reader.store()))
+    EXPECT_EQ(ResponseFingerprint(expected.value(), writer.snapshot()->store()),
+              ResponseFingerprint(loaded.value(), reader.snapshot()->store()))
         << query;
   }
   std::remove(path.c_str());
@@ -199,12 +199,12 @@ TEST(PersistTest, RoundTripsAllGeneratorCorpora) {
     EXPECT_EQ(EpochFingerprint(*writer.snapshot()),
               EpochFingerprint(*reader.snapshot()))
         << corpus.name;
-    auto expected = writer.Search(corpus.query);
-    auto loaded = reader.Search(corpus.query);
+    auto expected = writer.snapshot()->Search(corpus.query);
+    auto loaded = reader.snapshot()->Search(corpus.query);
     ASSERT_TRUE(expected.ok()) << corpus.name;
     ASSERT_TRUE(loaded.ok()) << corpus.name;
-    EXPECT_EQ(ResponseFingerprint(expected.value(), writer.store()),
-              ResponseFingerprint(loaded.value(), reader.store()))
+    EXPECT_EQ(ResponseFingerprint(expected.value(), writer.snapshot()->store()),
+              ResponseFingerprint(loaded.value(), reader.snapshot()->store()))
         << corpus.name;
     std::remove(path.c_str());
   }
@@ -253,12 +253,13 @@ TEST(PersistTest, CommitOnLoadedImageMatchesAllInMemoryIncremental) {
 
   EXPECT_EQ(EpochFingerprint(*memory.snapshot()),
             EpochFingerprint(*loaded.snapshot()));
-  auto memory_response = memory.Search(kQuery1);
-  auto loaded_response = loaded.Search(kQuery1);
+  auto memory_response = memory.snapshot()->Search(kQuery1);
+  auto loaded_response = loaded.snapshot()->Search(kQuery1);
   ASSERT_TRUE(memory_response.ok());
   ASSERT_TRUE(loaded_response.ok());
-  EXPECT_EQ(ResponseFingerprint(memory_response.value(), memory.store()),
-            ResponseFingerprint(loaded_response.value(), loaded.store()));
+  EXPECT_EQ(
+      ResponseFingerprint(memory_response.value(), memory.snapshot()->store()),
+      ResponseFingerprint(loaded_response.value(), loaded.snapshot()->store()));
   std::remove(path.c_str());
 }
 
@@ -268,10 +269,10 @@ TEST(PersistTest, ConcurrentReadersOpenAndQueryOneImage) {
   ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
   std::string path = TempImagePath("concurrent");
   ASSERT_TRUE(writer.Save(path).ok());
-  auto expected = writer.Search(kQuery1);
+  auto expected = writer.snapshot()->Search(kQuery1);
   ASSERT_TRUE(expected.ok());
   const std::string reference =
-      ResponseFingerprint(expected.value(), writer.store());
+      ResponseFingerprint(expected.value(), writer.snapshot()->store());
 
   // The one-writer/many-reader pattern: several readers map the same image
   // at once (here: threads, each with its own Seda instance — the same code
@@ -289,12 +290,13 @@ TEST(PersistTest, ConcurrentReadersOpenAndQueryOneImage) {
         statuses[r] = opened;
         return;
       }
-      auto response = reader.Search(kQuery1);
+      auto response = reader.snapshot()->Search(kQuery1);
       if (!response.ok()) {
         statuses[r] = response.status();
         return;
       }
-      fingerprints[r] = ResponseFingerprint(response.value(), reader.store());
+      fingerprints[r] =
+          ResponseFingerprint(response.value(), reader.snapshot()->store());
     });
   }
   for (std::thread& thread : readers) thread.join();
@@ -316,9 +318,10 @@ TEST(PersistTest, ReadersOfAnOpenedEpochMatchASingleEpochRunDuringCommit) {
                                             R"((name, "Mexico") AND (GDP, *))"};
   std::vector<std::string> expected;
   for (const std::string& query : queries) {
-    auto response = writer.Search(query);
+    auto response = writer.snapshot()->Search(query);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    expected.push_back(ResponseFingerprint(response.value(), writer.store()));
+    expected.push_back(
+        ResponseFingerprint(response.value(), writer.snapshot()->store()));
   }
 
   Seda loaded;
@@ -673,11 +676,12 @@ TEST_F(PersistCorruptionTest, RejectsGraphEdgeToMissingNode) {
   Status status = OpenImage();
   EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
 
-  // Without a CSR section the adjacency is rebuilt from the log, and the
-  // same dangling edge fails the load there too.
+  // Without a CSR section the image is rejected before any edge is checked.
   ReplaceGraphSections(path_, hostile, nullptr);
   status = OpenImage();
   EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("no graph CSR section"), std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(PersistCorruptionTest, RejectsNonTreeDegreeThatDisagreesWithTheLog) {
@@ -690,6 +694,35 @@ TEST_F(PersistCorruptionTest, RejectsNonTreeDegreeThatDisagreesWithTheLog) {
   moved.AddEdge({0, xml::DeweyId({1})}, {2, xml::DeweyId({1})},
                 graph::EdgeType::kIdRef, "ref");
   ReplaceGraphSections(path_, moved, valid->csr());
+  Status status = OpenImage();
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+}
+
+// kOptions: [double overlap threshold][u8 idrefs][u8 xlinks][u64 num_threads]
+// [u64 query_threads]...; Open() sizes its thread pools from the two counts.
+TEST_F(PersistCorruptionTest, RejectsThreadCountsPastTheCeiling) {
+  for (size_t at : {size_t{10}, size_t{18}}) {
+    SCOPED_TRACE("thread count at options byte " + std::to_string(at));
+    WriteFile(path_, image_);
+    PatchSection(path_, persist::SectionId::kOptions,
+                 [at](std::string* options) {
+                   const uint64_t huge = uint64_t{1} << 40;
+                   std::memcpy(options->data() + at, &huge, sizeof(huge));
+                 });
+    auto loaded = core::Snapshot::Load(path_);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status().ToString();
+    Status opened = OpenImage();
+    EXPECT_EQ(opened.code(), StatusCode::kParseError) << opened.ToString();
+  }
+}
+
+TEST_F(PersistCorruptionTest, RejectsOptionsCutBeforeTheColumnTail) {
+  // The column-inference tail closes the options payload: u8 enabled +
+  // double + u64 + double + u64 = 33 bytes.
+  PatchSection(path_, persist::SectionId::kOptions, [](std::string* options) {
+    options->resize(options->size() - 33);
+  });
   Status status = OpenImage();
   EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
 }

@@ -157,6 +157,50 @@ TEST(ShardSearchTest, ServiceShardingKeepsWireBytesIdentical) {
   }
 }
 
+/// The sharded stats merge: with k large enough that no TA stop fires and
+/// no budget trims, two shards together do exactly the unsharded scan's
+/// work. Counters over the shared candidate set are copies of one value in
+/// every shard; scan-side counters partition across shards and sum back to
+/// the unsharded totals.
+TEST(ShardSearchTest, ShardedStatsMergeMatchesTheUnshardedScan) {
+  core::Seda seda;
+  data::WorldFactbookGenerator::Options options;
+  options.scale = 0.05;
+  data::WorldFactbookGenerator(options).Populate(seda.mutable_store());
+  ASSERT_TRUE(seda.Finalize().ok());
+  std::shared_ptr<const core::Snapshot> snapshot = seda.snapshot();
+  for (const char* text : kQueries) {
+    SCOPED_TRACE(text);
+    auto query = query::ParseQuery(text);
+    ASSERT_TRUE(query.ok());
+    topk::TopKOptions unsharded = snapshot->options().topk;
+    unsharded.k = 1u << 20;
+    unsharded.max_tuples_per_query = 0;
+    unsharded.shard_count = 1;
+    topk::TopKOptions sharded = unsharded;
+    sharded.shard_count = 2;
+    auto one = snapshot->Search(query.value(), unsharded);
+    auto two = snapshot->Search(query.value(), sharded);
+    ASSERT_TRUE(one.ok());
+    ASSERT_TRUE(two.ok());
+    const topk::SearchStats& a = one.value().stats;
+    const topk::SearchStats& b = two.value().stats;
+    ASSERT_FALSE(a.early_terminated);
+    ASSERT_FALSE(b.early_terminated);
+    ASSERT_EQ(a.tuples_trimmed, 0u);
+    ASSERT_EQ(b.tuples_trimmed, 0u);
+    // Copied: computed over the full candidate set in every shard.
+    EXPECT_EQ(b.candidates_total, a.candidates_total);
+    EXPECT_EQ(b.postings_advanced, a.postings_advanced);
+    EXPECT_EQ(b.docs_skipped, a.docs_skipped);
+    EXPECT_EQ(b.hub_links_skipped, a.hub_links_skipped);
+    // Summed: each shard scans its own documents.
+    EXPECT_EQ(b.docs_considered, a.docs_considered);
+    EXPECT_EQ(b.docs_scored, a.docs_scored);
+    EXPECT_EQ(b.tuples_scored, a.tuples_scored);
+  }
+}
+
 /// An invalid shard assignment must fail loudly, not serve a wrong subset.
 /// (Snapshot::Search assigns shard_index itself, so this exercises the
 /// engine-level validation directly.)

@@ -109,7 +109,7 @@ TEST(CommitTest, AddXmlAndCommitAfterFinalizeServesNewDocuments) {
   Seda seda;
   data::PopulateScenario(seda.mutable_store());
   ASSERT_TRUE(seda.Finalize(ScenarioOptions()).ok());
-  auto before = seda.Search(kQuery1);
+  auto before = seda.snapshot()->Search(kQuery1);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->stats.epoch, 1u);
 
@@ -123,13 +123,14 @@ TEST(CommitTest, AddXmlAndCommitAfterFinalizeServesNewDocuments) {
   EXPECT_EQ(info->docs_added, 3u);
   EXPECT_TRUE(info->incremental);
 
-  auto after = seda.Search(kQuery1);
+  auto after = seda.snapshot()->Search(kQuery1);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->stats.epoch, 2u);
   // The new countries import from the United States, so they must surface.
-  EXPECT_NE(ResponseFingerprint(before.value(), seda.store(), false),
-            ResponseFingerprint(after.value(), seda.store(), false));
-  EXPECT_GT(seda.index().DocumentFrequency("2010"), 0u);
+  const Snapshot& latest = *seda.snapshot();
+  EXPECT_NE(ResponseFingerprint(before.value(), latest.store(), false),
+            ResponseFingerprint(after.value(), latest.store(), false));
+  EXPECT_GT(latest.index().DocumentFrequency("2010"), 0u);
 }
 
 TEST(CommitTest, IncrementalCommitIsByteIdenticalToColdBuild) {
@@ -154,13 +155,15 @@ TEST(CommitTest, IncrementalCommitIsByteIdenticalToColdBuild) {
 
   EXPECT_EQ(EpochFingerprint(*cold.snapshot()), EpochFingerprint(*inc.snapshot()));
 
-  auto cold_response = cold.Search(kQuery1);
-  auto inc_response = inc.Search(kQuery1);
+  auto cold_response = cold.snapshot()->Search(kQuery1);
+  auto inc_response = inc.snapshot()->Search(kQuery1);
   ASSERT_TRUE(cold_response.ok());
   ASSERT_TRUE(inc_response.ok());
   // Epochs differ by construction (1 vs 2); everything observable must not.
-  EXPECT_EQ(ResponseFingerprint(cold_response.value(), cold.store(), false),
-            ResponseFingerprint(inc_response.value(), inc.store(), false));
+  const store::DocumentStore& cold_store = cold.snapshot()->store();
+  const store::DocumentStore& inc_store = inc.snapshot()->store();
+  EXPECT_EQ(ResponseFingerprint(cold_response.value(), cold_store, false),
+            ResponseFingerprint(inc_response.value(), inc_store, false));
   EXPECT_EQ(cold_response->stats.epoch, 1u);
   EXPECT_EQ(inc_response->stats.epoch, 2u);
 }
@@ -274,20 +277,21 @@ TEST(SearchStatsTest, ServingEpochIsSurfacedInEveryResponse) {
   data::PopulateScenario(seda.mutable_store());
   ASSERT_TRUE(seda.Finalize(ScenarioOptions()).ok());
 
-  auto r1 = seda.Search(kQuery1);
+  auto r1 = seda.snapshot()->Search(kQuery1);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1->stats.epoch, 1u);
 
   seda.AddXml(EpochTwoCountry(0), "newland-0");
   ASSERT_TRUE(seda.Commit().ok());
-  auto r2 = seda.Search(kQuery1);
+  auto r2 = seda.snapshot()->Search(kQuery1);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->stats.epoch, 2u);
 
   // The raw searcher (outside any snapshot) reports epoch 0: "no epoch".
   topk::SearchStats stats;
-  topk::TopKSearcher searcher(&seda.index(), &seda.data_graph());
-  auto query = seda.Parse(kQuery1);
+  std::shared_ptr<const Snapshot> snap = seda.snapshot();
+  topk::TopKSearcher searcher(&snap->index(), &snap->data_graph());
+  auto query = query::ParseQuery(kQuery1);
   ASSERT_TRUE(query.ok());
   ASSERT_TRUE(searcher.Search(query.value(), topk::TopKOptions{}, &stats).ok());
   EXPECT_EQ(stats.epoch, 0u);
@@ -302,10 +306,11 @@ TEST(SnapshotConcurrencyTest, SearchDuringCommitMatchesSingleEpochRunExactly) {
   Seda reference;
   data::PopulateScenario(reference.mutable_store());
   ASSERT_TRUE(reference.Finalize(ScenarioOptions()).ok());
-  auto reference_response = reference.Search(kQuery1);
+  auto reference_response = reference.snapshot()->Search(kQuery1);
+  const store::DocumentStore& reference_store = reference.snapshot()->store();
   ASSERT_TRUE(reference_response.ok());
   const std::string expected =
-      ResponseFingerprint(reference_response.value(), reference.store());
+      ResponseFingerprint(reference_response.value(), reference_store);
 
   Seda seda;
   data::PopulateScenario(seda.mutable_store());
@@ -342,13 +347,13 @@ TEST(SnapshotConcurrencyTest, SearchDuringCommitMatchesSingleEpochRunExactly) {
         << "pinned epoch perturbed after " << checks << " checks";
     ++checks;
 
-    // The legacy shim races the swap too: it may serve any published epoch,
-    // but never a torn one.
-    auto shim = seda.Search(kQuery1);
-    ASSERT_TRUE(shim.ok());
-    EXPECT_GE(shim->stats.epoch, 1u);
-    EXPECT_LE(shim->stats.epoch, 1u + kCommits);
-    EXPECT_FALSE(shim->topk.empty());
+    // A one-shot read through snapshot() races the swap too: it may serve
+    // any published epoch, but never a torn one.
+    auto latest = seda.snapshot()->Search(kQuery1);
+    ASSERT_TRUE(latest.ok());
+    EXPECT_GE(latest->stats.epoch, 1u);
+    EXPECT_LE(latest->stats.epoch, 1u + kCommits);
+    EXPECT_FALSE(latest->topk.empty());
   }
   writer.join();
   ASSERT_EQ(commits_ok.load(), kCommits);
@@ -363,7 +368,7 @@ TEST(SnapshotConcurrencyTest, SearchDuringCommitMatchesSingleEpochRunExactly) {
   auto final_snapshot = seda.snapshot();
   EXPECT_EQ(final_snapshot->epoch(), 1u + kCommits);
   EXPECT_EQ(final_snapshot->store().DocumentCount(),
-            reference.store().DocumentCount() + kCommits * kDocsPerCommit);
+            reference_store.DocumentCount() + kCommits * kDocsPerCommit);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto snapshot = seda::core::Snapshot::Load(*image, nullptr, nullptr);
+  auto snapshot = seda::core::Snapshot::Load(*image);
   if (!snapshot.ok()) {
     std::fprintf(stderr, "seda_audit: %s\n",
                  snapshot.status().ToString().c_str());

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr, "opened image %s (%zu docs)\n", image_path.c_str(),
-                 seda.store().DocumentCount());
+                 seda.snapshot()->store().DocumentCount());
   } else {
     seda::data::WorldFactbookGenerator::Options gen;
     gen.scale = factbook_scale;
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr, "generated factbook scale %.2f (%zu docs)\n",
-                 factbook_scale, seda.store().DocumentCount());
+                 factbook_scale, seda.snapshot()->store().DocumentCount());
   }
 
   seda::api::ServiceOptions service_options;
