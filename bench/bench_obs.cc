@@ -1,6 +1,7 @@
-// Observability overhead gate: the bench_service_throughput workload run
-// twice per round — ServiceOptions::tracing=false (span tracking fully off)
-// vs tracing=true with no request asking for a trace (the production
+// Observability overhead gate: a multi-session service workload (each
+// session thread runs a stream of keyword searches over one loaded image)
+// run twice per round — ServiceOptions::tracing=false (span tracking fully
+// off) vs tracing=true with no request asking for a trace (the production
 // default: spans are opened and timed, never detached). The gate holds the
 // delta under --max-overhead (default 3%): the always-on span path must stay
 // two clock reads per span, or this bench fails the build.

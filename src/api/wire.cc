@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <tuple>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -504,826 +506,409 @@ Status WireStatus::ToStatus() const {
 }
 
 // --- DTO codecs ----------------------------------------------------------
+// Each wire type has one field list: (key, member, rule) entries in wire
+// order. One generic encoder and one generic decoder walk it; the value
+// codecs key on the member's C++ type.
 
 namespace {
 
-/// Canonical encoding for string lists and nested string lists.
-Json StringsToJson(const std::vector<std::string>& values) {
-  Json array = Json::Array();
-  for (const std::string& v : values) array.Append(Json::Str(v));
-  return array;
+/// Per-field special cases; every other field is kPlain.
+enum Rule {
+  kPlain,
+  /// Omitted from the encoding at its default, so untraced requests and
+  /// responses keep their pre-tracing bytes and spans drop empty parts.
+  kOmitDefault,
+  /// A decoded empty string falls back to the struct default.
+  kEmptyIsDefault,
+};
+
+template <typename T, typename M, Rule R>
+struct FieldSpec {
+  const char* key;
+  M T::*member;
+};
+
+template <Rule R = kPlain, typename T, typename M>
+constexpr FieldSpec<T, M, R> Field(const char* key, M T::*member) {
+  return {key, member};
 }
 
-std::vector<std::string> StringsFromJson(const Json* json) {
-  std::vector<std::string> out;
-  if (json == nullptr) return out;
-  out.reserve(json->size());
-  for (size_t i = 0; i < json->size(); ++i) out.push_back(json->at(i).AsString());
-  return out;
+/// A counter as an ordered {"name","value"} object: an array of these keeps
+/// the source's order and duplicate names, which a JSON object would merge.
+using NamedCount = std::pair<std::string, uint64_t>;
+
+// --- Field lists ----------------------------------------------------------
+
+constexpr auto FieldsOf(const NamedCount*) {
+  return std::tuple(Field("name", &NamedCount::first),
+                    Field("value", &NamedCount::second));
 }
 
-template <typename T, typename Fn>
-Json ListToJson(const std::vector<T>& values, Fn&& to_json) {
-  Json array = Json::Array();
-  for (const T& v : values) array.Append(to_json(v));
-  return array;
+constexpr auto FieldsOf(const WireStatus*) {
+  return std::tuple(Field<kEmptyIsDefault>("code", &WireStatus::code),
+                    Field("message", &WireStatus::message));
 }
 
-template <typename T, typename Fn>
-std::vector<T> ListFromJson(const Json* json, Fn&& from_json) {
-  std::vector<T> out;
-  if (json == nullptr) return out;
-  out.reserve(json->size());
-  for (size_t i = 0; i < json->size(); ++i) out.push_back(from_json(json->at(i)));
-  return out;
+#define SEDA_COUNTER_FIELD(field, merge, metric, help) \
+  , Field(#field, &StatsDto::field)
+constexpr auto FieldsOf(const StatsDto*) {
+  return std::tuple(Field("epoch", &StatsDto::epoch),
+                    Field("elapsed_ms", &StatsDto::elapsed_ms),
+                    Field("deadline_ms", &StatsDto::deadline_ms),
+                    Field("deadline_exceeded", &StatsDto::deadline_exceeded)
+                        SEDA_ENGINE_COUNTERS(SEDA_COUNTER_FIELD));
+}
+#undef SEDA_COUNTER_FIELD
+
+constexpr auto FieldsOf(const NodeRefDto*) {
+  return std::tuple(Field("doc", &NodeRefDto::doc),
+                    Field("dewey", &NodeRefDto::dewey),
+                    Field("path", &NodeRefDto::path),
+                    Field("content", &NodeRefDto::content));
 }
 
-uint64_t UintField(const Json& json, const char* key) {
-  const Json* v = json.Find(key);
-  return v != nullptr ? v->AsUint() : 0;
+constexpr auto FieldsOf(const TupleDto*) {
+  return std::tuple(Field("nodes", &TupleDto::nodes),
+                    Field("content_score", &TupleDto::content_score),
+                    Field("connection_size", &TupleDto::connection_size),
+                    Field("score", &TupleDto::score));
 }
 
-double DoubleField(const Json& json, const char* key) {
-  const Json* v = json.Find(key);
-  return v != nullptr ? v->AsDouble() : 0;
+constexpr auto FieldsOf(const ContextEntryDto*) {
+  return std::tuple(Field("path", &ContextEntryDto::path),
+                    Field("doc_count", &ContextEntryDto::doc_count),
+                    Field("node_count", &ContextEntryDto::node_count));
 }
 
-bool BoolField(const Json& json, const char* key, bool fallback = false) {
-  const Json* v = json.Find(key);
-  return v != nullptr ? v->AsBool(fallback) : fallback;
+constexpr auto FieldsOf(const ContextBucketDto*) {
+  return std::tuple(Field("term", &ContextBucketDto::term),
+                    Field("entries", &ContextBucketDto::entries));
 }
 
-/// Engine-counter codec (topk/engine_counters.h): counters are unsigned,
-/// the early_terminated flag is a bool.
-Json CounterJson(uint64_t v) { return Json::Uint(v); }
-Json CounterJson(bool v) { return Json::Bool(v); }
-void ReadCounter(const Json& json, const char* key, uint64_t* out) {
-  *out = UintField(json, key);
-}
-void ReadCounter(const Json& json, const char* key, bool* out) {
-  *out = BoolField(json, key);
+constexpr auto FieldsOf(const ConnectionStepDto*) {
+  return std::tuple(Field("move", &ConnectionStepDto::move),
+                    Field("path", &ConnectionStepDto::path),
+                    Field("label", &ConnectionStepDto::label));
 }
 
-std::string StringField(const Json& json, const char* key) {
-  const Json* v = json.Find(key);
-  return v != nullptr ? v->AsString() : std::string();
+constexpr auto FieldsOf(const ConnectionDto*) {
+  return std::tuple(Field("term_a", &ConnectionDto::term_a),
+                    Field("term_b", &ConnectionDto::term_b),
+                    Field("from_path", &ConnectionDto::from_path),
+                    Field("to_path", &ConnectionDto::to_path),
+                    Field("steps", &ConnectionDto::steps),
+                    Field("instance_count", &ConnectionDto::instance_count),
+                    Field("false_positive", &ConnectionDto::false_positive));
 }
 
-/// Shared by every string-level decoder: strict parse + object check.
-template <typename T, typename Fn>
-Result<T> DecodeObject(const std::string& json, const char* what, Fn&& from_json) {
-  auto parsed = Json::Parse(json);
+constexpr auto FieldsOf(const CreateSessionRequest*) {
+  return std::tuple(Field("session_id", &CreateSessionRequest::session_id),
+                    Field("ttl_ms", &CreateSessionRequest::ttl_ms));
+}
+
+constexpr auto FieldsOf(const CreateSessionResponse*) {
+  return std::tuple(Field("status", &CreateSessionResponse::status),
+                    Field("session_id", &CreateSessionResponse::session_id),
+                    Field("epoch", &CreateSessionResponse::epoch));
+}
+
+constexpr auto FieldsOf(const CloseSessionRequest*) {
+  return std::tuple(Field("session_id", &CloseSessionRequest::session_id));
+}
+
+constexpr auto FieldsOf(const CloseSessionResponse*) {
+  return std::tuple(Field("status", &CloseSessionResponse::status));
+}
+
+constexpr auto FieldsOf(const SearchRequest*) {
+  return std::tuple(Field("session_id", &SearchRequest::session_id),
+                    Field("query", &SearchRequest::query),
+                    Field("k", &SearchRequest::k),
+                    Field("deadline_ms", &SearchRequest::deadline_ms),
+                    Field<kOmitDefault>("trace", &SearchRequest::trace));
+}
+
+constexpr auto FieldsOf(const SearchResponseDto*) {
+  return std::tuple(Field("status", &SearchResponseDto::status),
+                    Field("topk", &SearchResponseDto::topk),
+                    Field("contexts", &SearchResponseDto::contexts),
+                    Field("connections", &SearchResponseDto::connections),
+                    Field("stats", &SearchResponseDto::stats),
+                    Field<kOmitDefault>("trace", &SearchResponseDto::trace));
+}
+
+constexpr auto FieldsOf(const RefineRequest*) {
+  return std::tuple(Field("session_id", &RefineRequest::session_id),
+                    Field("chosen_paths", &RefineRequest::chosen_paths),
+                    Field("k", &RefineRequest::k),
+                    Field("deadline_ms", &RefineRequest::deadline_ms),
+                    Field<kOmitDefault>("trace", &RefineRequest::trace));
+}
+
+constexpr auto FieldsOf(const CompleteRequest*) {
+  return std::tuple(Field("session_id", &CompleteRequest::session_id),
+                    Field("term_paths", &CompleteRequest::term_paths),
+                    Field("connections", &CompleteRequest::connections),
+                    Field("deadline_ms", &CompleteRequest::deadline_ms),
+                    Field<kOmitDefault>("trace", &CompleteRequest::trace));
+}
+
+constexpr auto FieldsOf(const CompleteResponseDto*) {
+  return std::tuple(
+      Field("status", &CompleteResponseDto::status),
+      Field("tuples", &CompleteResponseDto::tuples),
+      Field("twig_count", &CompleteResponseDto::twig_count),
+      Field("cross_twig_joins", &CompleteResponseDto::cross_twig_joins),
+      Field("stats", &CompleteResponseDto::stats),
+      Field<kOmitDefault>("trace", &CompleteResponseDto::trace));
+}
+
+constexpr auto FieldsOf(const CubeRequest*) {
+  return std::tuple(
+      Field("session_id", &CubeRequest::session_id),
+      Field("add_facts", &CubeRequest::add_facts),
+      Field("remove_facts", &CubeRequest::remove_facts),
+      Field("add_dimensions", &CubeRequest::add_dimensions),
+      Field("remove_dimensions", &CubeRequest::remove_dimensions),
+      Field("merge_fact_tables", &CubeRequest::merge_fact_tables),
+      Field("group_dims", &CubeRequest::group_dims),
+      Field<kEmptyIsDefault>("agg_fn", &CubeRequest::agg_fn),
+      Field("measure", &CubeRequest::measure),
+      Field("deadline_ms", &CubeRequest::deadline_ms),
+      Field<kOmitDefault>("trace", &CubeRequest::trace));
+}
+
+constexpr auto FieldsOf(const TableDto*) {
+  return std::tuple(Field("name", &TableDto::name),
+                    Field("columns", &TableDto::columns),
+                    Field("key_columns", &TableDto::key_columns),
+                    Field("rows", &TableDto::rows));
+}
+
+constexpr auto FieldsOf(const CellDto*) {
+  return std::tuple(Field("group", &CellDto::group),
+                    Field("value", &CellDto::value),
+                    Field("count", &CellDto::count));
+}
+
+constexpr auto FieldsOf(const CubeResponseDto*) {
+  return std::tuple(
+      Field("status", &CubeResponseDto::status),
+      Field("fact_tables", &CubeResponseDto::fact_tables),
+      Field("dimension_tables", &CubeResponseDto::dimension_tables),
+      Field("warnings", &CubeResponseDto::warnings),
+      Field("cells", &CubeResponseDto::cells),
+      Field("cell_total", &CubeResponseDto::cell_total),
+      Field("stats", &CubeResponseDto::stats),
+      Field<kOmitDefault>("trace", &CubeResponseDto::trace));
+}
+
+constexpr auto FieldsOf(const MethodStatsDto*) {
+  return std::tuple(
+      Field("method", &MethodStatsDto::method),
+      Field("count", &MethodStatsDto::count),
+      Field("errors", &MethodStatsDto::errors),
+      Field("deadline_exceeded", &MethodStatsDto::deadline_exceeded),
+      Field("total_ms", &MethodStatsDto::total_ms),
+      Field("latency_buckets", &MethodStatsDto::latency_buckets));
+}
+
+constexpr auto FieldsOf(const StatzRequest*) { return std::tuple(); }
+
+constexpr auto FieldsOf(const StatzResponse*) {
+  return std::tuple(
+      Field("status", &StatzResponse::status),
+      Field("epoch", &StatzResponse::epoch),
+      Field("sessions", &StatzResponse::sessions),
+      Field("sessions_created", &StatzResponse::sessions_created),
+      Field("sessions_evicted", &StatzResponse::sessions_evicted),
+      Field("uptime_ms", &StatzResponse::uptime_ms),
+      Field("bucket_bounds_ms", &StatzResponse::bucket_bounds_ms),
+      Field("methods", &StatzResponse::methods),
+      Field("cumulative", &StatzResponse::cumulative),
+      Field("transport", &StatzResponse::transport));
+}
+
+constexpr auto FieldsOf(const MetriczRequest*) { return std::tuple(); }
+
+constexpr auto FieldsOf(const MetriczResponse*) {
+  return std::tuple(Field("status", &MetriczResponse::status),
+                    Field("text", &MetriczResponse::text));
+}
+
+constexpr auto FieldsOf(const SlowlogRequest*) {
+  return std::tuple(Field("limit", &SlowlogRequest::limit));
+}
+
+constexpr auto FieldsOf(const SlowlogResponse*) {
+  return std::tuple(Field("status", &SlowlogResponse::status),
+                    Field("total_logged", &SlowlogResponse::total_logged),
+                    Field("entries", &SlowlogResponse::entries));
+}
+
+constexpr auto FieldsOf(const SpanNode*) {
+  return std::tuple(Field("name", &SpanNode::name),
+                    Field("start_us", &SpanNode::start_us),
+                    Field("elapsed_us", &SpanNode::elapsed_us),
+                    Field<kOmitDefault>("unix_ms", &SpanNode::unix_ms),
+                    Field<kOmitDefault>("counters", &SpanNode::counters),
+                    Field<kOmitDefault>("children", &SpanNode::children));
+}
+
+constexpr auto FieldsOf(const SlowLogEntry*) {
+  return std::tuple(
+      Field("seq", &SlowLogEntry::seq),
+      Field("unix_ms", &SlowLogEntry::unix_ms),
+      Field("method", &SlowLogEntry::method),
+      Field("session_id", &SlowLogEntry::session_id),
+      Field("detail", &SlowLogEntry::detail),
+      Field("elapsed_ms", &SlowLogEntry::elapsed_ms),
+      Field("threshold_ms", &SlowLogEntry::threshold_ms),
+      Field("status_code", &SlowLogEntry::status_code),
+      Field("deadline_exceeded", &SlowLogEntry::deadline_exceeded),
+      Field("sampled", &SlowLogEntry::sampled),
+      Field<kOmitDefault>("trace", &SlowLogEntry::trace));
+}
+
+// --- Generic codec --------------------------------------------------------
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename E>
+struct IsVector<std::vector<E>> : std::true_type {};
+
+/// An unnamed span is "no trace" (the requests that did not ask for one).
+bool IsDefault(const SpanNode& span) { return span.name.empty(); }
+template <typename M>
+bool IsDefault(const M& value) {
+  if constexpr (IsVector<M>::value) {
+    return value.empty();
+  } else {
+    return value == M{};
+  }
+}
+
+/// A span tree nests two JSON levels per span, and its encoding fills in
+/// keys an input may leave out, so a tree that just fits the parser's depth
+/// limit would re-encode past it. Decoding keeps kMaxSpanDepth levels (far
+/// more than any recorded trace) so every decoded tree re-encodes to JSON
+/// that decodes again.
+constexpr size_t kMaxSpanDepth = 32;
+
+void PruneSpans(SpanNode* span, size_t depth) {
+  if (depth == kMaxSpanDepth) {
+    span->children.clear();
+    return;
+  }
+  for (SpanNode& child : span->children) PruneSpans(&child, depth + 1);
+}
+
+template <typename T>
+Json ValueToJson(const T& v);
+template <typename T>
+void ReadValue(const Json& json, T* out);
+
+template <typename T, typename M, Rule R>
+void EncodeField(const T& v, const FieldSpec<T, M, R>& field, Json* object) {
+  const M& value = v.*field.member;
+  if constexpr (R == kOmitDefault) {
+    if (IsDefault(value)) return;
+  }
+  object->Set(field.key, ValueToJson(value));
+}
+
+template <typename T, typename M, Rule R>
+void DecodeField(const Json& object, const FieldSpec<T, M, R>& field, T* v) {
+  const Json* value = object.Find(field.key);
+  if (value == nullptr) return;  // absent: the struct default stays
+  M& member = v->*field.member;
+  ReadValue(*value, &member);
+  if constexpr (R == kEmptyIsDefault) {
+    if (member.empty()) member = T{}.*field.member;
+  }
+}
+
+template <typename T>
+Json ValueToJson(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return Json::Bool(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return Json::Uint(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return Json::Double(v);  // non-finite encodes as null
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Json::Str(v);
+  } else if constexpr (IsVector<T>::value) {
+    Json array = Json::Array();
+    for (const auto& element : v) array.Append(ValueToJson(element));
+    return array;
+  } else {
+    Json object = Json::Object();
+    std::apply(
+        [&](const auto&... field) { (EncodeField(v, field, &object), ...); },
+        FieldsOf(&v));
+    return object;
+  }
+}
+
+/// Reads `json` into `*out`, which holds the default; a value of the wrong
+/// kind leaves it there.
+template <typename T>
+void ReadValue(const Json& json, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    *out = json.AsBool(*out);
+  } else if constexpr (std::is_integral_v<T>) {
+    *out = static_cast<T>(json.AsUint(*out));
+  } else if constexpr (std::is_same_v<T, double>) {
+    // null is an encoded NaN: JSON has no NaN literal.
+    *out = json.is_null() ? std::nan("") : json.AsDouble(*out);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (json.kind() == Json::Kind::kString) *out = json.AsString();
+  } else if constexpr (IsVector<T>::value) {
+    if (json.kind() != Json::Kind::kArray) return;
+    *out = T(json.size());
+    for (size_t i = 0; i < json.size(); ++i) ReadValue(json.at(i), &(*out)[i]);
+  } else {
+    std::apply(
+        [&](const auto&... field) { (DecodeField(json, field, out), ...); },
+        FieldsOf(out));
+    if constexpr (std::is_same_v<T, SpanNode>) PruneSpans(out, 0);
+  }
+}
+
+template <typename T>
+T ObjectFromJson(const Json& json) {
+  T v{};
+  ReadValue(json, &v);
+  return v;
+}
+
+/// Strict parse + object check, shared by every string-level decoder.
+template <typename T>
+Result<T> DecodeObject(const std::string& text, const char* what) {
+  auto parsed = Json::Parse(text);
   if (!parsed.ok()) return parsed.status();
   if (parsed.value().kind() != Json::Kind::kObject) {
     return Status::InvalidArgument(std::string(what) +
                                    " must be a JSON object");
   }
-  return from_json(parsed.value());
+  return ObjectFromJson<T>(parsed.value());
 }
 
 }  // namespace
 
-Json ToJson(const WireStatus& v) {
-  Json json = Json::Object();
-  json.Set("code", Json::Str(v.code));
-  json.Set("message", Json::Str(v.message));
-  return json;
-}
-
-WireStatus WireStatusFromJson(const Json& json) {
-  WireStatus v;
-  v.code = StringField(json, "code");
-  if (v.code.empty()) v.code = "OK";
-  v.message = StringField(json, "message");
-  return v;
-}
-
-Json ToJson(const StatsDto& v) {
-  Json json = Json::Object();
-  json.Set("epoch", Json::Uint(v.epoch));
-  json.Set("elapsed_ms", Json::Double(v.elapsed_ms));
-  json.Set("deadline_ms", Json::Uint(v.deadline_ms));
-  json.Set("deadline_exceeded", Json::Bool(v.deadline_exceeded));
-#define SEDA_COUNTER_TO_JSON(field, merge, metric, help) \
-  json.Set(#field, CounterJson(v.field));
-  SEDA_ENGINE_COUNTERS(SEDA_COUNTER_TO_JSON)
-#undef SEDA_COUNTER_TO_JSON
-  return json;
-}
-
-StatsDto StatsDtoFromJson(const Json& json) {
-  StatsDto v;
-  v.epoch = UintField(json, "epoch");
-  v.elapsed_ms = DoubleField(json, "elapsed_ms");
-  v.deadline_ms = UintField(json, "deadline_ms");
-  v.deadline_exceeded = BoolField(json, "deadline_exceeded");
-#define SEDA_COUNTER_FROM_JSON(field, merge, metric, help) \
-  ReadCounter(json, #field, &v.field);
-  SEDA_ENGINE_COUNTERS(SEDA_COUNTER_FROM_JSON)
-#undef SEDA_COUNTER_FROM_JSON
-  return v;
-}
-
-Json ToJson(const NodeRefDto& v) {
-  Json json = Json::Object();
-  json.Set("doc", Json::Uint(v.doc));
-  json.Set("dewey", Json::Str(v.dewey));
-  json.Set("path", Json::Str(v.path));
-  json.Set("content", Json::Str(v.content));
-  return json;
-}
-
-NodeRefDto NodeRefDtoFromJson(const Json& json) {
-  NodeRefDto v;
-  v.doc = static_cast<uint32_t>(UintField(json, "doc"));
-  v.dewey = StringField(json, "dewey");
-  v.path = StringField(json, "path");
-  v.content = StringField(json, "content");
-  return v;
-}
-
-Json ToJson(const TupleDto& v) {
-  Json json = Json::Object();
-  json.Set("nodes", ListToJson(v.nodes, [](const NodeRefDto& n) {
-    return ToJson(n);
-  }));
-  json.Set("content_score", Json::Double(v.content_score));
-  json.Set("connection_size", Json::Uint(v.connection_size));
-  json.Set("score", Json::Double(v.score));
-  return json;
-}
-
-TupleDto TupleDtoFromJson(const Json& json) {
-  TupleDto v;
-  v.nodes = ListFromJson<NodeRefDto>(json.Find("nodes"), NodeRefDtoFromJson);
-  v.content_score = DoubleField(json, "content_score");
-  v.connection_size = UintField(json, "connection_size");
-  v.score = DoubleField(json, "score");
-  return v;
-}
-
-Json ToJson(const ContextEntryDto& v) {
-  Json json = Json::Object();
-  json.Set("path", Json::Str(v.path));
-  json.Set("doc_count", Json::Uint(v.doc_count));
-  json.Set("node_count", Json::Uint(v.node_count));
-  return json;
-}
-
-ContextEntryDto ContextEntryDtoFromJson(const Json& json) {
-  ContextEntryDto v;
-  v.path = StringField(json, "path");
-  v.doc_count = UintField(json, "doc_count");
-  v.node_count = UintField(json, "node_count");
-  return v;
-}
-
-Json ToJson(const ContextBucketDto& v) {
-  Json json = Json::Object();
-  json.Set("term", Json::Str(v.term));
-  json.Set("entries", ListToJson(v.entries, [](const ContextEntryDto& e) {
-    return ToJson(e);
-  }));
-  return json;
-}
-
-ContextBucketDto ContextBucketDtoFromJson(const Json& json) {
-  ContextBucketDto v;
-  v.term = StringField(json, "term");
-  v.entries =
-      ListFromJson<ContextEntryDto>(json.Find("entries"), ContextEntryDtoFromJson);
-  return v;
-}
-
-Json ToJson(const ConnectionStepDto& v) {
-  Json json = Json::Object();
-  json.Set("move", Json::Str(v.move));
-  json.Set("path", Json::Str(v.path));
-  json.Set("label", Json::Str(v.label));
-  return json;
-}
-
-ConnectionStepDto ConnectionStepDtoFromJson(const Json& json) {
-  ConnectionStepDto v;
-  v.move = StringField(json, "move");
-  v.path = StringField(json, "path");
-  v.label = StringField(json, "label");
-  return v;
-}
-
-Json ToJson(const ConnectionDto& v) {
-  Json json = Json::Object();
-  json.Set("term_a", Json::Uint(v.term_a));
-  json.Set("term_b", Json::Uint(v.term_b));
-  json.Set("from_path", Json::Str(v.from_path));
-  json.Set("to_path", Json::Str(v.to_path));
-  json.Set("steps", ListToJson(v.steps, [](const ConnectionStepDto& s) {
-    return ToJson(s);
-  }));
-  json.Set("instance_count", Json::Uint(v.instance_count));
-  json.Set("false_positive", Json::Bool(v.false_positive));
-  return json;
-}
-
-ConnectionDto ConnectionDtoFromJson(const Json& json) {
-  ConnectionDto v;
-  v.term_a = UintField(json, "term_a");
-  v.term_b = UintField(json, "term_b");
-  v.from_path = StringField(json, "from_path");
-  v.to_path = StringField(json, "to_path");
-  v.steps = ListFromJson<ConnectionStepDto>(json.Find("steps"),
-                                            ConnectionStepDtoFromJson);
-  v.instance_count = UintField(json, "instance_count");
-  v.false_positive = BoolField(json, "false_positive");
-  return v;
-}
-
-Json ToJson(const CreateSessionRequest& v) {
-  Json json = Json::Object();
-  json.Set("session_id", Json::Str(v.session_id));
-  json.Set("ttl_ms", Json::Uint(v.ttl_ms));
-  return json;
-}
-
-CreateSessionRequest CreateSessionRequestFromJson(const Json& json) {
-  CreateSessionRequest v;
-  v.session_id = StringField(json, "session_id");
-  v.ttl_ms = UintField(json, "ttl_ms");
-  return v;
-}
-
-Json ToJson(const CreateSessionResponse& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  json.Set("session_id", Json::Str(v.session_id));
-  json.Set("epoch", Json::Uint(v.epoch));
-  return json;
-}
-
-CreateSessionResponse CreateSessionResponseFromJson(const Json& json) {
-  CreateSessionResponse v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  v.session_id = StringField(json, "session_id");
-  v.epoch = UintField(json, "epoch");
-  return v;
-}
-
-Json ToJson(const CloseSessionRequest& v) {
-  Json json = Json::Object();
-  json.Set("session_id", Json::Str(v.session_id));
-  return json;
-}
-
-CloseSessionRequest CloseSessionRequestFromJson(const Json& json) {
-  CloseSessionRequest v;
-  v.session_id = StringField(json, "session_id");
-  return v;
-}
-
-Json ToJson(const CloseSessionResponse& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  return json;
-}
-
-CloseSessionResponse CloseSessionResponseFromJson(const Json& json) {
-  CloseSessionResponse v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  return v;
-}
-
-Json ToJson(const SearchRequest& v) {
-  Json json = Json::Object();
-  json.Set("session_id", Json::Str(v.session_id));
-  json.Set("query", Json::Str(v.query));
-  json.Set("k", Json::Uint(v.k));
-  json.Set("deadline_ms", Json::Uint(v.deadline_ms));
-  // Only serialized when set, so untraced requests keep their pre-tracing
-  // canonical bytes (same below for responses' "trace" subtree).
-  if (v.trace) json.Set("trace", Json::Bool(true));
-  return json;
-}
-
-SearchRequest SearchRequestFromJson(const Json& json) {
-  SearchRequest v;
-  v.session_id = StringField(json, "session_id");
-  v.query = StringField(json, "query");
-  v.k = UintField(json, "k");
-  v.deadline_ms = UintField(json, "deadline_ms");
-  v.trace = BoolField(json, "trace");
-  return v;
-}
-
-Json ToJson(const SearchResponseDto& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  json.Set("topk", ListToJson(v.topk, [](const TupleDto& t) {
-    return ToJson(t);
-  }));
-  json.Set("contexts", ListToJson(v.contexts, [](const ContextBucketDto& b) {
-    return ToJson(b);
-  }));
-  json.Set("connections", ListToJson(v.connections, [](const ConnectionDto& c) {
-    return ToJson(c);
-  }));
-  json.Set("stats", ToJson(v.stats));
-  if (!v.trace.name.empty()) json.Set("trace", ToJson(v.trace));
-  return json;
-}
-
-SearchResponseDto SearchResponseDtoFromJson(const Json& json) {
-  SearchResponseDto v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  v.topk = ListFromJson<TupleDto>(json.Find("topk"), TupleDtoFromJson);
-  v.contexts = ListFromJson<ContextBucketDto>(json.Find("contexts"),
-                                              ContextBucketDtoFromJson);
-  v.connections =
-      ListFromJson<ConnectionDto>(json.Find("connections"), ConnectionDtoFromJson);
-  const Json* stats = json.Find("stats");
-  if (stats != nullptr) v.stats = StatsDtoFromJson(*stats);
-  const Json* trace = json.Find("trace");
-  if (trace != nullptr) v.trace = SpanNodeFromJson(*trace);
-  return v;
-}
-
-Json ToJson(const RefineRequest& v) {
-  Json json = Json::Object();
-  json.Set("session_id", Json::Str(v.session_id));
-  json.Set("chosen_paths",
-           ListToJson(v.chosen_paths, [](const std::vector<std::string>& paths) {
-             return StringsToJson(paths);
-           }));
-  json.Set("k", Json::Uint(v.k));
-  json.Set("deadline_ms", Json::Uint(v.deadline_ms));
-  if (v.trace) json.Set("trace", Json::Bool(true));
-  return json;
-}
-
-RefineRequest RefineRequestFromJson(const Json& json) {
-  RefineRequest v;
-  v.session_id = StringField(json, "session_id");
-  const Json* lists = json.Find("chosen_paths");
-  if (lists != nullptr) {
-    v.chosen_paths.reserve(lists->size());
-    for (size_t i = 0; i < lists->size(); ++i) {
-      v.chosen_paths.push_back(StringsFromJson(&lists->at(i)));
-    }
-  }
-  v.k = UintField(json, "k");
-  v.deadline_ms = UintField(json, "deadline_ms");
-  v.trace = BoolField(json, "trace");
-  return v;
-}
-
-Json ToJson(const CompleteRequest& v) {
-  Json json = Json::Object();
-  json.Set("session_id", Json::Str(v.session_id));
-  json.Set("term_paths", StringsToJson(v.term_paths));
-  Json connections = Json::Array();
-  for (uint64_t index : v.connections) connections.Append(Json::Uint(index));
-  json.Set("connections", std::move(connections));
-  json.Set("deadline_ms", Json::Uint(v.deadline_ms));
-  if (v.trace) json.Set("trace", Json::Bool(true));
-  return json;
-}
-
-CompleteRequest CompleteRequestFromJson(const Json& json) {
-  CompleteRequest v;
-  v.session_id = StringField(json, "session_id");
-  v.term_paths = StringsFromJson(json.Find("term_paths"));
-  const Json* connections = json.Find("connections");
-  if (connections != nullptr) {
-    v.connections.reserve(connections->size());
-    for (size_t i = 0; i < connections->size(); ++i) {
-      v.connections.push_back(connections->at(i).AsUint());
-    }
-  }
-  v.deadline_ms = UintField(json, "deadline_ms");
-  v.trace = BoolField(json, "trace");
-  return v;
-}
-
-Json ToJson(const CompleteResponseDto& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  json.Set("tuples", ListToJson(v.tuples, [](const std::vector<NodeRefDto>& row) {
-    return ListToJson(row, [](const NodeRefDto& n) { return ToJson(n); });
-  }));
-  json.Set("twig_count", Json::Uint(v.twig_count));
-  json.Set("cross_twig_joins", Json::Uint(v.cross_twig_joins));
-  json.Set("stats", ToJson(v.stats));
-  if (!v.trace.name.empty()) json.Set("trace", ToJson(v.trace));
-  return json;
-}
-
-CompleteResponseDto CompleteResponseDtoFromJson(const Json& json) {
-  CompleteResponseDto v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  const Json* tuples = json.Find("tuples");
-  if (tuples != nullptr) {
-    v.tuples.reserve(tuples->size());
-    for (size_t i = 0; i < tuples->size(); ++i) {
-      v.tuples.push_back(
-          ListFromJson<NodeRefDto>(&tuples->at(i), NodeRefDtoFromJson));
-    }
-  }
-  v.twig_count = UintField(json, "twig_count");
-  v.cross_twig_joins = UintField(json, "cross_twig_joins");
-  const Json* stats = json.Find("stats");
-  if (stats != nullptr) v.stats = StatsDtoFromJson(*stats);
-  const Json* trace = json.Find("trace");
-  if (trace != nullptr) v.trace = SpanNodeFromJson(*trace);
-  return v;
-}
-
-Json ToJson(const CubeRequest& v) {
-  Json json = Json::Object();
-  json.Set("session_id", Json::Str(v.session_id));
-  json.Set("add_facts", StringsToJson(v.add_facts));
-  json.Set("remove_facts", StringsToJson(v.remove_facts));
-  json.Set("add_dimensions", StringsToJson(v.add_dimensions));
-  json.Set("remove_dimensions", StringsToJson(v.remove_dimensions));
-  json.Set("merge_fact_tables", Json::Bool(v.merge_fact_tables));
-  json.Set("group_dims", StringsToJson(v.group_dims));
-  json.Set("agg_fn", Json::Str(v.agg_fn));
-  json.Set("measure", Json::Str(v.measure));
-  json.Set("deadline_ms", Json::Uint(v.deadline_ms));
-  if (v.trace) json.Set("trace", Json::Bool(true));
-  return json;
-}
-
-CubeRequest CubeRequestFromJson(const Json& json) {
-  CubeRequest v;
-  v.session_id = StringField(json, "session_id");
-  v.add_facts = StringsFromJson(json.Find("add_facts"));
-  v.remove_facts = StringsFromJson(json.Find("remove_facts"));
-  v.add_dimensions = StringsFromJson(json.Find("add_dimensions"));
-  v.remove_dimensions = StringsFromJson(json.Find("remove_dimensions"));
-  v.merge_fact_tables = BoolField(json, "merge_fact_tables", true);
-  v.group_dims = StringsFromJson(json.Find("group_dims"));
-  v.agg_fn = StringField(json, "agg_fn");
-  if (v.agg_fn.empty()) v.agg_fn = "sum";
-  v.measure = StringField(json, "measure");
-  v.deadline_ms = UintField(json, "deadline_ms");
-  v.trace = BoolField(json, "trace");
-  return v;
-}
-
-Json ToJson(const TableDto& v) {
-  Json json = Json::Object();
-  json.Set("name", Json::Str(v.name));
-  json.Set("columns", StringsToJson(v.columns));
-  Json keys = Json::Array();
-  for (uint64_t k : v.key_columns) keys.Append(Json::Uint(k));
-  json.Set("key_columns", std::move(keys));
-  json.Set("rows", ListToJson(v.rows, [](const std::vector<std::string>& row) {
-    return StringsToJson(row);
-  }));
-  return json;
-}
-
-TableDto TableDtoFromJson(const Json& json) {
-  TableDto v;
-  v.name = StringField(json, "name");
-  v.columns = StringsFromJson(json.Find("columns"));
-  const Json* keys = json.Find("key_columns");
-  if (keys != nullptr) {
-    v.key_columns.reserve(keys->size());
-    for (size_t i = 0; i < keys->size(); ++i) {
-      v.key_columns.push_back(keys->at(i).AsUint());
-    }
-  }
-  const Json* rows = json.Find("rows");
-  if (rows != nullptr) {
-    v.rows.reserve(rows->size());
-    for (size_t i = 0; i < rows->size(); ++i) {
-      v.rows.push_back(StringsFromJson(&rows->at(i)));
-    }
-  }
-  return v;
-}
-
-Json ToJson(const CellDto& v) {
-  Json json = Json::Object();
-  json.Set("group", StringsToJson(v.group));
-  json.Set("value", Json::Double(v.value));
-  json.Set("count", Json::Uint(v.count));
-  return json;
-}
-
-CellDto CellDtoFromJson(const Json& json) {
-  CellDto v;
-  v.group = StringsFromJson(json.Find("group"));
-  // A null value is an encoded NaN (JSON has no NaN literal); an absent
-  // field keeps the struct default.
-  const Json* value = json.Find("value");
-  if (value != nullptr) {
-    v.value = value->is_null() ? std::nan("") : value->AsDouble();
-  }
-  v.count = UintField(json, "count");
-  return v;
-}
-
-Json ToJson(const CubeResponseDto& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  json.Set("fact_tables", ListToJson(v.fact_tables, [](const TableDto& t) {
-    return ToJson(t);
-  }));
-  json.Set("dimension_tables",
-           ListToJson(v.dimension_tables, [](const TableDto& t) {
-             return ToJson(t);
-           }));
-  json.Set("warnings", StringsToJson(v.warnings));
-  json.Set("cells", ListToJson(v.cells, [](const CellDto& c) {
-    return ToJson(c);
-  }));
-  json.Set("cell_total", Json::Double(v.cell_total));
-  json.Set("stats", ToJson(v.stats));
-  if (!v.trace.name.empty()) json.Set("trace", ToJson(v.trace));
-  return json;
-}
-
-CubeResponseDto CubeResponseDtoFromJson(const Json& json) {
-  CubeResponseDto v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  v.fact_tables = ListFromJson<TableDto>(json.Find("fact_tables"), TableDtoFromJson);
-  v.dimension_tables =
-      ListFromJson<TableDto>(json.Find("dimension_tables"), TableDtoFromJson);
-  v.warnings = StringsFromJson(json.Find("warnings"));
-  v.cells = ListFromJson<CellDto>(json.Find("cells"), CellDtoFromJson);
-  // Like CellDto::value, a null cell_total is an encoded NaN; mapping it to
-  // 0 would both corrupt the value and break encode/decode byte stability.
-  // An absent field keeps the struct default (0).
-  const Json* total = json.Find("cell_total");
-  if (total != nullptr) {
-    v.cell_total = total->is_null() ? std::nan("") : total->AsDouble();
-  }
-  const Json* stats = json.Find("stats");
-  if (stats != nullptr) v.stats = StatsDtoFromJson(*stats);
-  const Json* trace = json.Find("trace");
-  if (trace != nullptr) v.trace = SpanNodeFromJson(*trace);
-  return v;
-}
-
-Json ToJson(const MethodStatsDto& v) {
-  Json json = Json::Object();
-  json.Set("method", Json::Str(v.method));
-  json.Set("count", Json::Uint(v.count));
-  json.Set("errors", Json::Uint(v.errors));
-  json.Set("deadline_exceeded", Json::Uint(v.deadline_exceeded));
-  json.Set("total_ms", Json::Double(v.total_ms));
-  json.Set("latency_buckets", ListToJson(v.latency_buckets, [](uint64_t n) {
-    return Json::Uint(n);
-  }));
-  return json;
-}
-
-MethodStatsDto MethodStatsDtoFromJson(const Json& json) {
-  MethodStatsDto v;
-  v.method = StringField(json, "method");
-  v.count = UintField(json, "count");
-  v.errors = UintField(json, "errors");
-  v.deadline_exceeded = UintField(json, "deadline_exceeded");
-  v.total_ms = DoubleField(json, "total_ms");
-  v.latency_buckets = ListFromJson<uint64_t>(
-      json.Find("latency_buckets"), [](const Json& n) { return n.AsUint(); });
-  return v;
-}
-
-Json ToJson(const StatzRequest&) { return Json::Object(); }
-
-StatzRequest StatzRequestFromJson(const Json&) { return StatzRequest{}; }
-
-Json ToJson(const StatzResponse& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  json.Set("epoch", Json::Uint(v.epoch));
-  json.Set("sessions", Json::Uint(v.sessions));
-  json.Set("sessions_created", Json::Uint(v.sessions_created));
-  json.Set("sessions_evicted", Json::Uint(v.sessions_evicted));
-  json.Set("uptime_ms", Json::Double(v.uptime_ms));
-  json.Set("bucket_bounds_ms", ListToJson(v.bucket_bounds_ms, [](double b) {
-    return Json::Double(b);
-  }));
-  json.Set("methods", ListToJson(v.methods, [](const MethodStatsDto& m) {
-    return ToJson(m);
-  }));
-  json.Set("cumulative", ToJson(v.cumulative));
-  // Transport counters keep the source's pair order (an object would merge
-  // duplicate names silently and lose it).
-  Json transport = Json::Array();
-  for (const auto& [name, value] : v.transport) {
-    Json counter = Json::Object();
-    counter.Set("name", Json::Str(name));
-    counter.Set("value", Json::Uint(value));
-    transport.Append(std::move(counter));
-  }
-  json.Set("transport", std::move(transport));
-  return json;
-}
-
-StatzResponse StatzResponseFromJson(const Json& json) {
-  StatzResponse v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  v.epoch = UintField(json, "epoch");
-  v.sessions = UintField(json, "sessions");
-  v.sessions_created = UintField(json, "sessions_created");
-  v.sessions_evicted = UintField(json, "sessions_evicted");
-  v.uptime_ms = DoubleField(json, "uptime_ms");
-  v.bucket_bounds_ms = ListFromJson<double>(
-      json.Find("bucket_bounds_ms"), [](const Json& b) { return b.AsDouble(); });
-  v.methods = ListFromJson<MethodStatsDto>(json.Find("methods"),
-                                           MethodStatsDtoFromJson);
-  const Json* transport = json.Find("transport");
-  if (transport != nullptr) {
-    v.transport.reserve(transport->size());
-    for (size_t i = 0; i < transport->size(); ++i) {
-      const Json& counter = transport->at(i);
-      v.transport.emplace_back(StringField(counter, "name"),
-                               UintField(counter, "value"));
-    }
-  }
-  const Json* cumulative = json.Find("cumulative");
-  if (cumulative != nullptr) v.cumulative = StatsDtoFromJson(*cumulative);
-  return v;
-}
-
-Json ToJson(const obs::SpanNode& v) {
-  Json json = Json::Object();
-  json.Set("name", Json::Str(v.name));
-  json.Set("start_us", Json::Uint(v.start_us));
-  json.Set("elapsed_us", Json::Uint(v.elapsed_us));
-  if (v.unix_ms != 0) json.Set("unix_ms", Json::Uint(v.unix_ms));
-  if (!v.counters.empty()) {
-    // An array of name/value objects, not an object: keeps insertion order
-    // explicit and survives hypothetical duplicate counter names.
-    Json counters = Json::Array();
-    for (const auto& [name, value] : v.counters) {
-      Json counter = Json::Object();
-      counter.Set("name", Json::Str(name));
-      counter.Set("value", Json::Uint(value));
-      counters.Append(std::move(counter));
-    }
-    json.Set("counters", std::move(counters));
-  }
-  if (!v.children.empty()) {
-    json.Set("children", ListToJson(v.children, [](const obs::SpanNode& child) {
-      return ToJson(child);
-    }));
-  }
-  return json;
-}
-
-obs::SpanNode SpanNodeFromJson(const Json& json) {
-  obs::SpanNode v;
-  v.name = StringField(json, "name");
-  v.start_us = UintField(json, "start_us");
-  v.elapsed_us = UintField(json, "elapsed_us");
-  v.unix_ms = UintField(json, "unix_ms");
-  const Json* counters = json.Find("counters");
-  if (counters != nullptr) {
-    v.counters.reserve(counters->size());
-    for (size_t i = 0; i < counters->size(); ++i) {
-      const Json& counter = counters->at(i);
-      v.counters.emplace_back(StringField(counter, "name"),
-                              UintField(counter, "value"));
-    }
-  }
-  v.children = ListFromJson<obs::SpanNode>(json.Find("children"),
-                                           SpanNodeFromJson);
-  return v;
-}
-
-Json ToJson(const obs::SlowLogEntry& v) {
-  Json json = Json::Object();
-  json.Set("seq", Json::Uint(v.seq));
-  json.Set("unix_ms", Json::Uint(v.unix_ms));
-  json.Set("method", Json::Str(v.method));
-  json.Set("session_id", Json::Str(v.session_id));
-  json.Set("detail", Json::Str(v.detail));
-  json.Set("elapsed_ms", Json::Double(v.elapsed_ms));
-  json.Set("threshold_ms", Json::Uint(v.threshold_ms));
-  json.Set("status_code", Json::Str(v.status_code));
-  json.Set("deadline_exceeded", Json::Bool(v.deadline_exceeded));
-  json.Set("sampled", Json::Bool(v.sampled));
-  if (!v.trace.name.empty()) json.Set("trace", ToJson(v.trace));
-  return json;
-}
-
-obs::SlowLogEntry SlowLogEntryFromJson(const Json& json) {
-  obs::SlowLogEntry v;
-  v.seq = UintField(json, "seq");
-  v.unix_ms = UintField(json, "unix_ms");
-  v.method = StringField(json, "method");
-  v.session_id = StringField(json, "session_id");
-  v.detail = StringField(json, "detail");
-  v.elapsed_ms = DoubleField(json, "elapsed_ms");
-  v.threshold_ms = UintField(json, "threshold_ms");
-  v.status_code = StringField(json, "status_code");
-  v.deadline_exceeded = BoolField(json, "deadline_exceeded");
-  v.sampled = BoolField(json, "sampled");
-  const Json* trace = json.Find("trace");
-  if (trace != nullptr) v.trace = SpanNodeFromJson(*trace);
-  return v;
-}
-
-Json ToJson(const MetriczRequest&) { return Json::Object(); }
-
-MetriczRequest MetriczRequestFromJson(const Json&) { return MetriczRequest{}; }
-
-Json ToJson(const MetriczResponse& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  json.Set("text", Json::Str(v.text));
-  return json;
-}
-
-MetriczResponse MetriczResponseFromJson(const Json& json) {
-  MetriczResponse v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  v.text = StringField(json, "text");
-  return v;
-}
-
-Json ToJson(const SlowlogRequest& v) {
-  Json json = Json::Object();
-  json.Set("limit", Json::Uint(v.limit));
-  return json;
-}
-
-SlowlogRequest SlowlogRequestFromJson(const Json& json) {
-  SlowlogRequest v;
-  v.limit = UintField(json, "limit");
-  return v;
-}
-
-Json ToJson(const SlowlogResponse& v) {
-  Json json = Json::Object();
-  json.Set("status", ToJson(v.status));
-  json.Set("total_logged", Json::Uint(v.total_logged));
-  json.Set("entries", ListToJson(v.entries, [](const obs::SlowLogEntry& e) {
-    return ToJson(e);
-  }));
-  return json;
-}
-
-SlowlogResponse SlowlogResponseFromJson(const Json& json) {
-  SlowlogResponse v;
-  const Json* status = json.Find("status");
-  if (status != nullptr) v.status = WireStatusFromJson(*status);
-  v.total_logged = UintField(json, "total_logged");
-  v.entries = ListFromJson<obs::SlowLogEntry>(json.Find("entries"),
-                                              SlowLogEntryFromJson);
-  return v;
-}
-
-// --- String-level wrappers ----------------------------------------------
-
-#define SEDA_API_STRING_CODEC(Type)                                         \
-  std::string Encode(const Type& v) { return ToJson(v).Write(); }           \
-  Result<Type> Decode##Type(const std::string& json) {                      \
-    return DecodeObject<Type>(json, #Type, [](const Json& parsed) {         \
-      return Type##FromJson(parsed);                                        \
-    });                                                                     \
+#define SEDA_WIRE_DEFINE_CODEC(Type)                                   \
+  Json ToJson(const Type& v) { return ValueToJson(v); }                \
+  Type Type##FromJson(const Json& json) {                              \
+    return ObjectFromJson<Type>(json);                                 \
+  }                                                                    \
+  std::string Encode(const Type& v) { return ValueToJson(v).Write(); } \
+  Result<Type> Decode##Type(const std::string& json) {                 \
+    return DecodeObject<Type>(json, #Type);                            \
   }
 
-SEDA_API_STRING_CODEC(WireStatus)
-SEDA_API_STRING_CODEC(StatsDto)
-SEDA_API_STRING_CODEC(NodeRefDto)
-SEDA_API_STRING_CODEC(TupleDto)
-SEDA_API_STRING_CODEC(ContextEntryDto)
-SEDA_API_STRING_CODEC(ContextBucketDto)
-SEDA_API_STRING_CODEC(ConnectionStepDto)
-SEDA_API_STRING_CODEC(ConnectionDto)
-SEDA_API_STRING_CODEC(CreateSessionRequest)
-SEDA_API_STRING_CODEC(CreateSessionResponse)
-SEDA_API_STRING_CODEC(CloseSessionRequest)
-SEDA_API_STRING_CODEC(CloseSessionResponse)
-SEDA_API_STRING_CODEC(SearchRequest)
-SEDA_API_STRING_CODEC(SearchResponseDto)
-SEDA_API_STRING_CODEC(RefineRequest)
-SEDA_API_STRING_CODEC(CompleteRequest)
-SEDA_API_STRING_CODEC(CompleteResponseDto)
-SEDA_API_STRING_CODEC(CubeRequest)
-SEDA_API_STRING_CODEC(TableDto)
-SEDA_API_STRING_CODEC(CellDto)
-SEDA_API_STRING_CODEC(CubeResponseDto)
-SEDA_API_STRING_CODEC(MethodStatsDto)
-SEDA_API_STRING_CODEC(StatzRequest)
-SEDA_API_STRING_CODEC(StatzResponse)
-SEDA_API_STRING_CODEC(MetriczRequest)
-SEDA_API_STRING_CODEC(MetriczResponse)
-SEDA_API_STRING_CODEC(SlowlogRequest)
-SEDA_API_STRING_CODEC(SlowlogResponse)
+SEDA_WIRE_TYPES(SEDA_WIRE_DEFINE_CODEC)
 
-#undef SEDA_API_STRING_CODEC
+#undef SEDA_WIRE_DEFINE_CODEC
 
 }  // namespace seda::api

@@ -72,133 +72,62 @@ class Json {
 };
 
 // --- DTO codecs ---------------------------------------------------------
-// Every request/response DTO encodes to one canonical JSON object and
-// decodes from it. Decoders are lenient about missing fields (defaults
-// apply) but strict about malformed JSON and wrong value shapes.
+// Every wire type encodes to one canonical JSON object and decodes from it.
+// Decoders are strict about malformed JSON and non-object documents, and
+// lenient inside the object: an absent or wrong-kind field keeps the struct
+// default. A non-finite double encodes as null and null decodes as NaN, so
+// the round trip holds for every double. Each type's keys, in wire order,
+// live in one field list in wire.cc; adding a wire type means one line here
+// plus its field list.
 
-std::string Encode(const WireStatus& v);
-std::string Encode(const StatsDto& v);
-std::string Encode(const NodeRefDto& v);
-std::string Encode(const TupleDto& v);
-std::string Encode(const ContextEntryDto& v);
-std::string Encode(const ContextBucketDto& v);
-std::string Encode(const ConnectionStepDto& v);
-std::string Encode(const ConnectionDto& v);
-std::string Encode(const CreateSessionRequest& v);
-std::string Encode(const CreateSessionResponse& v);
-std::string Encode(const CloseSessionRequest& v);
-std::string Encode(const CloseSessionResponse& v);
-std::string Encode(const SearchRequest& v);
-std::string Encode(const SearchResponseDto& v);
-std::string Encode(const RefineRequest& v);
-std::string Encode(const CompleteRequest& v);
-std::string Encode(const CompleteResponseDto& v);
-std::string Encode(const CubeRequest& v);
-std::string Encode(const TableDto& v);
-std::string Encode(const CellDto& v);
-std::string Encode(const CubeResponseDto& v);
-std::string Encode(const MethodStatsDto& v);
-std::string Encode(const StatzRequest& v);
-std::string Encode(const StatzResponse& v);
-std::string Encode(const MetriczRequest& v);
-std::string Encode(const MetriczResponse& v);
-std::string Encode(const SlowlogRequest& v);
-std::string Encode(const SlowlogResponse& v);
-
-Result<WireStatus> DecodeWireStatus(const std::string& json);
-Result<StatsDto> DecodeStatsDto(const std::string& json);
-Result<NodeRefDto> DecodeNodeRefDto(const std::string& json);
-Result<TupleDto> DecodeTupleDto(const std::string& json);
-Result<ContextEntryDto> DecodeContextEntryDto(const std::string& json);
-Result<ContextBucketDto> DecodeContextBucketDto(const std::string& json);
-Result<ConnectionStepDto> DecodeConnectionStepDto(const std::string& json);
-Result<ConnectionDto> DecodeConnectionDto(const std::string& json);
-Result<CreateSessionRequest> DecodeCreateSessionRequest(const std::string& json);
-Result<CreateSessionResponse> DecodeCreateSessionResponse(const std::string& json);
-Result<CloseSessionRequest> DecodeCloseSessionRequest(const std::string& json);
-Result<CloseSessionResponse> DecodeCloseSessionResponse(const std::string& json);
-Result<SearchRequest> DecodeSearchRequest(const std::string& json);
-Result<SearchResponseDto> DecodeSearchResponseDto(const std::string& json);
-Result<RefineRequest> DecodeRefineRequest(const std::string& json);
-Result<CompleteRequest> DecodeCompleteRequest(const std::string& json);
-Result<CompleteResponseDto> DecodeCompleteResponseDto(const std::string& json);
-Result<CubeRequest> DecodeCubeRequest(const std::string& json);
-Result<TableDto> DecodeTableDto(const std::string& json);
-Result<CellDto> DecodeCellDto(const std::string& json);
-Result<CubeResponseDto> DecodeCubeResponseDto(const std::string& json);
-Result<MethodStatsDto> DecodeMethodStatsDto(const std::string& json);
-Result<StatzRequest> DecodeStatzRequest(const std::string& json);
-Result<StatzResponse> DecodeStatzResponse(const std::string& json);
-Result<MetriczRequest> DecodeMetriczRequest(const std::string& json);
-Result<MetriczResponse> DecodeMetriczResponse(const std::string& json);
-Result<SlowlogRequest> DecodeSlowlogRequest(const std::string& json);
-Result<SlowlogResponse> DecodeSlowlogResponse(const std::string& json);
-
-// Json-level converters, for composing DTOs into envelopes (the service's
-// Handle() dispatch uses these; the string Encode/Decode pairs above wrap
-// them).
-Json ToJson(const WireStatus& v);
-Json ToJson(const StatsDto& v);
-Json ToJson(const NodeRefDto& v);
-Json ToJson(const TupleDto& v);
-Json ToJson(const ContextEntryDto& v);
-Json ToJson(const ContextBucketDto& v);
-Json ToJson(const ConnectionStepDto& v);
-Json ToJson(const ConnectionDto& v);
-Json ToJson(const CreateSessionRequest& v);
-Json ToJson(const CreateSessionResponse& v);
-Json ToJson(const CloseSessionRequest& v);
-Json ToJson(const CloseSessionResponse& v);
-Json ToJson(const SearchRequest& v);
-Json ToJson(const SearchResponseDto& v);
-Json ToJson(const RefineRequest& v);
-Json ToJson(const CompleteRequest& v);
-Json ToJson(const CompleteResponseDto& v);
-Json ToJson(const CubeRequest& v);
-Json ToJson(const TableDto& v);
-Json ToJson(const CellDto& v);
-Json ToJson(const CubeResponseDto& v);
-Json ToJson(const MethodStatsDto& v);
-Json ToJson(const StatzRequest& v);
-Json ToJson(const StatzResponse& v);
-Json ToJson(const MetriczRequest& v);
-Json ToJson(const MetriczResponse& v);
-Json ToJson(const SlowlogRequest& v);
-Json ToJson(const SlowlogResponse& v);
 // obs plain-data types embedded in responses (span trees, slow-log rows).
-Json ToJson(const obs::SpanNode& v);
-Json ToJson(const obs::SlowLogEntry& v);
+using obs::SlowLogEntry;
+using obs::SpanNode;
 
-WireStatus WireStatusFromJson(const Json& json);
-StatsDto StatsDtoFromJson(const Json& json);
-NodeRefDto NodeRefDtoFromJson(const Json& json);
-TupleDto TupleDtoFromJson(const Json& json);
-ContextEntryDto ContextEntryDtoFromJson(const Json& json);
-ContextBucketDto ContextBucketDtoFromJson(const Json& json);
-ConnectionStepDto ConnectionStepDtoFromJson(const Json& json);
-ConnectionDto ConnectionDtoFromJson(const Json& json);
-CreateSessionRequest CreateSessionRequestFromJson(const Json& json);
-CreateSessionResponse CreateSessionResponseFromJson(const Json& json);
-CloseSessionRequest CloseSessionRequestFromJson(const Json& json);
-CloseSessionResponse CloseSessionResponseFromJson(const Json& json);
-SearchRequest SearchRequestFromJson(const Json& json);
-SearchResponseDto SearchResponseDtoFromJson(const Json& json);
-RefineRequest RefineRequestFromJson(const Json& json);
-CompleteRequest CompleteRequestFromJson(const Json& json);
-CompleteResponseDto CompleteResponseDtoFromJson(const Json& json);
-CubeRequest CubeRequestFromJson(const Json& json);
-TableDto TableDtoFromJson(const Json& json);
-CellDto CellDtoFromJson(const Json& json);
-CubeResponseDto CubeResponseDtoFromJson(const Json& json);
-MethodStatsDto MethodStatsDtoFromJson(const Json& json);
-StatzRequest StatzRequestFromJson(const Json& json);
-StatzResponse StatzResponseFromJson(const Json& json);
-MetriczRequest MetriczRequestFromJson(const Json& json);
-MetriczResponse MetriczResponseFromJson(const Json& json);
-SlowlogRequest SlowlogRequestFromJson(const Json& json);
-SlowlogResponse SlowlogResponseFromJson(const Json& json);
-obs::SpanNode SpanNodeFromJson(const Json& json);
-obs::SlowLogEntry SlowLogEntryFromJson(const Json& json);
+#define SEDA_WIRE_TYPES(X)                                                    \
+  X(WireStatus)                                                               \
+  X(StatsDto)                                                                 \
+  X(NodeRefDto)                                                               \
+  X(TupleDto)                                                                 \
+  X(ContextEntryDto)                                                          \
+  X(ContextBucketDto)                                                         \
+  X(ConnectionStepDto)                                                        \
+  X(ConnectionDto)                                                            \
+  X(CreateSessionRequest)                                                     \
+  X(CreateSessionResponse)                                                    \
+  X(CloseSessionRequest)                                                      \
+  X(CloseSessionResponse)                                                     \
+  X(SearchRequest)                                                            \
+  X(SearchResponseDto)                                                        \
+  X(RefineRequest)                                                            \
+  X(CompleteRequest)                                                          \
+  X(CompleteResponseDto)                                                      \
+  X(CubeRequest)                                                              \
+  X(TableDto)                                                                 \
+  X(CellDto)                                                                  \
+  X(CubeResponseDto)                                                          \
+  X(MethodStatsDto)                                                           \
+  X(StatzRequest)                                                             \
+  X(StatzResponse)                                                            \
+  X(MetriczRequest)                                                           \
+  X(MetriczResponse)                                                          \
+  X(SlowlogRequest)                                                           \
+  X(SlowlogResponse)                                                          \
+  X(SpanNode)                                                                 \
+  X(SlowLogEntry)
+
+/// Per type: the string pair `Encode` / `Decode<Type>`, and the Json-level
+/// pair `ToJson` / `<Type>FromJson` for composing DTOs into envelopes (the
+/// service's Handle() dispatch uses these).
+#define SEDA_WIRE_DECLARE_CODEC(Type)                 \
+  std::string Encode(const Type& v);                  \
+  Result<Type> Decode##Type(const std::string& json); \
+  Json ToJson(const Type& v);                         \
+  Type Type##FromJson(const Json& json);
+
+SEDA_WIRE_TYPES(SEDA_WIRE_DECLARE_CODEC)
+
+#undef SEDA_WIRE_DECLARE_CODEC
 
 }  // namespace seda::api
 

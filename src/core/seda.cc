@@ -68,6 +68,14 @@ Status Seda::Finalize(const SedaOptions& options) {
     return Status::FailedPrecondition(
         "Seda already finalized; ingest later epochs with AddXml() + Commit()");
   }
+  // The same ceiling ReadSedaOptions enforces, so Save() never writes an
+  // image Open() rejects; checked before any pool is sized from the counts.
+  if (options.num_threads > kMaxThreadCount ||
+      options.query_threads > kMaxThreadCount) {
+    return Status::InvalidArgument("SedaOptions ask for more than " +
+                                   std::to_string(kMaxThreadCount) +
+                                   " threads");
+  }
   options_ = options;
   CommitInfo info;
   return CommitInternal(/*force_full_rebuild=*/true, &info);

@@ -62,7 +62,8 @@ class Seda {
   /// Builds the first snapshot epoch (data graph, full-text index, dataguide
   /// summary) and fixes the SedaOptions used by every later Commit(). Call
   /// once; afterwards snapshot() and NewSession() serve queries and further
-  /// ingestion goes through AddXml() + Commit().
+  /// ingestion goes through AddXml() + Commit(). Thread counts above
+  /// kMaxThreadCount, which Open() would reject, are InvalidArgument.
   Status Finalize(const SedaOptions& options);
   Status Finalize() { return Finalize(SedaOptions{}); }
 

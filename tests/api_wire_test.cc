@@ -366,5 +366,501 @@ TEST(WireTest, StatzDtosByteStable) {
                    "default statz response");
 }
 
+
+TEST(WireTest, DeepSpanTreesReencodeToDecodableJson) {
+  // Spans nest two JSON levels each. An empty span object at the parser's
+  // depth limit re-encodes with its default keys one level past it, so
+  // decoding caps span trees and the round trip holds at any input depth.
+  std::string json = "{}";
+  for (int i = 0; i < 47; ++i) json = R"({"children":[)" + json + "]}";
+  json = R"({"name":"root","children":[)" + json + "]}";
+  auto decoded = DecodeSpanNode(json);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const std::string first = Encode(decoded.value());
+  auto again = DecodeSpanNode(first);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(Encode(again.value()), first);
+}
+
+// --- Golden bytes, one exact-bytes assertion per wire type ----------------
+// Byte stability alone would survive a reordered or dropped key; these pin
+// every type's canonical bytes, key order included. Populated values come
+// first; where a field is omitted at its default, the default value is
+// pinned too.
+
+obs::SpanNode SampleSpan() {
+  obs::SpanNode span;
+  span.name = "search";
+  span.start_us = 0;
+  span.elapsed_us = 1500;
+  span.unix_ms = 1700000000123u;
+  span.counters = {{"terms", 2}, {"tuples", 40}};
+  obs::SpanNode child;
+  child.name = "parse";
+  child.start_us = 3;
+  child.elapsed_us = 40;
+  span.children = {child};
+  return span;
+}
+
+/// A small stats block for the response goldens (SampleStats has its own).
+StatsDto SmallStats() {
+  StatsDto stats;
+  stats.epoch = 2;
+  stats.elapsed_ms = 0.5;
+  stats.docs_scored = 4;
+  return stats;
+}
+
+NodeRefDto PlainNode() {
+  NodeRefDto node;
+  node.doc = 3;
+  node.dewey = "1.2";
+  node.path = "/country/name";
+  node.content = "Canada";
+  return node;
+}
+
+obs::SlowLogEntry SampleSlowLogEntry() {
+  obs::SlowLogEntry entry;
+  entry.seq = 9;
+  entry.unix_ms = 1700000000456u;
+  entry.method = "search";
+  entry.session_id = "s1";
+  entry.detail = "(*, \"Canada\")";
+  entry.elapsed_ms = 12.5;
+  entry.threshold_ms = 10;
+  entry.status_code = "OK";
+  entry.deadline_exceeded = true;
+  entry.sampled = true;
+  entry.trace = SampleSpan();
+  return entry;
+}
+
+constexpr const char* kStatsBytes =
+    R"({"epoch":2,"elapsed_ms":0.5,"deadline_ms":0,"deadline_exceeded":false,)"
+    R"("candidates_total":0,"docs_considered":0,"docs_scored":4,)"
+    R"("tuples_scored":0,"early_terminated":false,"postings_advanced":0,)"
+    R"("docs_skipped":0,"heap_evictions":0,"hub_links_skipped":0,)"
+    R"("tuples_trimmed":0,"bfs_expansions":0,"intersection_probes":0,)"
+    R"("sketch_hits":0,"column_rows_scanned":0,"column_fallback_docs":0})";
+
+constexpr const char* kSpanBytes =
+    R"({"name":"search","start_us":0,"elapsed_us":1500,)"
+    R"("unix_ms":1700000000123,"counters":[{"name":"terms","value":2},)"
+    R"({"name":"tuples","value":40}],"children":[{"name":"parse",)"
+    R"("start_us":3,"elapsed_us":40}]})";
+
+TEST(WireGoldenTest, StatusAndStats) {
+  WireStatus status;
+  status.code = "NotFound";
+  status.message = "no \"s9\"";
+  EXPECT_EQ(Encode(status), R"({"code":"NotFound","message":"no \"s9\""})");
+  EXPECT_EQ(Encode(WireStatus{}), R"({"code":"OK","message":""})");
+  EXPECT_EQ(Encode(SmallStats()), kStatsBytes);
+}
+
+TEST(WireGoldenTest, SearchResultParts) {
+  EXPECT_EQ(Encode(PlainNode()),
+            R"({"doc":3,"dewey":"1.2","path":"/country/name",)"
+            R"("content":"Canada"})");
+
+  TupleDto tuple;
+  tuple.nodes = {PlainNode()};
+  tuple.content_score = 0.25;
+  tuple.connection_size = 2;
+  tuple.score = 1.5;
+  EXPECT_EQ(Encode(tuple),
+            R"({"nodes":[{"doc":3,"dewey":"1.2","path":"/country/name",)"
+            R"("content":"Canada"}],"content_score":0.25,)"
+            R"("connection_size":2,"score":1.5})");
+
+  ContextEntryDto entry;
+  entry.path = "/country/name";
+  entry.doc_count = 10;
+  entry.node_count = 12;
+  EXPECT_EQ(Encode(entry),
+            R"({"path":"/country/name","doc_count":10,"node_count":12})");
+
+  ContextBucketDto bucket;
+  bucket.term = "Canada";
+  bucket.entries = {entry};
+  EXPECT_EQ(Encode(bucket),
+            R"({"term":"Canada","entries":[{"path":"/country/name",)"
+            R"("doc_count":10,"node_count":12}]})");
+
+  ConnectionStepDto step;
+  step.move = "link";
+  step.path = "/sea";
+  step.label = "borders";
+  EXPECT_EQ(Encode(step),
+            R"({"move":"link","path":"/sea","label":"borders"})");
+
+  ConnectionDto conn;
+  conn.term_a = 0;
+  conn.term_b = 1;
+  conn.from_path = "/country/name";
+  conn.to_path = "/sea/name";
+  conn.steps = {step};
+  conn.instance_count = 7;
+  conn.false_positive = true;
+  EXPECT_EQ(Encode(conn),
+            R"({"term_a":0,"term_b":1,"from_path":"/country/name",)"
+            R"("to_path":"/sea/name","steps":[{"move":"link","path":"/sea",)"
+            R"("label":"borders"}],"instance_count":7,"false_positive":true})");
+}
+
+TEST(WireGoldenTest, SessionLifecycle) {
+  CreateSessionRequest create;
+  create.session_id = "analyst-7";
+  create.ttl_ms = 60000;
+  EXPECT_EQ(Encode(create), R"({"session_id":"analyst-7","ttl_ms":60000})");
+
+  CreateSessionResponse created;
+  created.session_id = "s1";
+  created.epoch = 3;
+  EXPECT_EQ(Encode(created),
+            R"({"status":{"code":"OK","message":""},"session_id":"s1",)"
+            R"("epoch":3})");
+
+  CloseSessionRequest close;
+  close.session_id = "s1";
+  EXPECT_EQ(Encode(close), R"({"session_id":"s1"})");
+
+  CloseSessionResponse closed;
+  closed.status.code = "NotFound";
+  EXPECT_EQ(Encode(closed), R"({"status":{"code":"NotFound","message":""}})");
+}
+
+TEST(WireGoldenTest, SearchAndRefine) {
+  SearchRequest request;
+  request.session_id = "s1";
+  request.query = "(*, \"Canada\")";
+  request.k = 5;
+  request.deadline_ms = 100;
+  EXPECT_EQ(Encode(request),
+            R"x({"session_id":"s1","query":"(*, \"Canada\")","k":5,)x"
+            R"("deadline_ms":100})");
+  request.trace = true;
+  EXPECT_EQ(Encode(request),
+            R"x({"session_id":"s1","query":"(*, \"Canada\")","k":5,)x"
+            R"("deadline_ms":100,"trace":true})");
+
+  SearchResponseDto response;
+  TupleDto tuple;
+  tuple.score = 2;
+  response.topk = {tuple};
+  ContextBucketDto bucket;
+  bucket.term = "Canada";
+  response.contexts = {bucket};
+  ConnectionDto conn;
+  conn.term_b = 1;
+  response.connections = {conn};
+  response.stats = SmallStats();
+  const std::string search_bytes =
+      std::string(R"({"status":{"code":"OK","message":""},)"
+                  R"("topk":[{"nodes":[],"content_score":0,)"
+                  R"("connection_size":0,"score":2}],)"
+                  R"("contexts":[{"term":"Canada","entries":[]}],)"
+                  R"("connections":[{"term_a":0,"term_b":1,"from_path":"",)"
+                  R"("to_path":"","steps":[],"instance_count":0,)"
+                  R"("false_positive":false}],"stats":)") +
+      kStatsBytes;
+  EXPECT_EQ(Encode(response), search_bytes + "}");
+  response.trace = SampleSpan();
+  EXPECT_EQ(Encode(response), search_bytes + R"(,"trace":)" + kSpanBytes + "}");
+
+  RefineRequest refine;
+  refine.session_id = "s1";
+  refine.chosen_paths = {{"/country/name"}, {}};
+  refine.k = 3;
+  refine.deadline_ms = 9;
+  EXPECT_EQ(Encode(refine),
+            R"({"session_id":"s1","chosen_paths":[["/country/name"],[]],)"
+            R"("k":3,"deadline_ms":9})");
+  refine.trace = true;
+  EXPECT_EQ(Encode(refine),
+            R"({"session_id":"s1","chosen_paths":[["/country/name"],[]],)"
+            R"("k":3,"deadline_ms":9,"trace":true})");
+}
+
+TEST(WireGoldenTest, Complete) {
+  CompleteRequest request;
+  request.session_id = "s1";
+  request.term_paths = {"/country/name", "/sea/name"};
+  request.connections = {0, 3};
+  request.deadline_ms = 25;
+  EXPECT_EQ(Encode(request),
+            R"({"session_id":"s1","term_paths":["/country/name","/sea/name"],)"
+            R"("connections":[0,3],"deadline_ms":25})");
+  request.trace = true;
+  EXPECT_EQ(Encode(request),
+            R"({"session_id":"s1","term_paths":["/country/name","/sea/name"],)"
+            R"("connections":[0,3],"deadline_ms":25,"trace":true})");
+
+  CompleteResponseDto response;
+  response.tuples = {{PlainNode()}, {}};
+  response.twig_count = 2;
+  response.cross_twig_joins = 1;
+  response.stats = SmallStats();
+  const std::string complete_bytes =
+      std::string(R"({"status":{"code":"OK","message":""},)"
+                  R"("tuples":[[{"doc":3,"dewey":"1.2","path":"/country/name",)"
+                  R"("content":"Canada"}],[]],"twig_count":2,)"
+                  R"("cross_twig_joins":1,"stats":)") +
+      kStatsBytes;
+  EXPECT_EQ(Encode(response), complete_bytes + "}");
+  response.trace = SampleSpan();
+  EXPECT_EQ(Encode(response),
+            complete_bytes + R"(,"trace":)" + kSpanBytes + "}");
+}
+
+TEST(WireGoldenTest, Cube) {
+  CubeRequest request;
+  request.session_id = "s1";
+  request.add_facts = {"GDP"};
+  request.remove_facts = {"area"};
+  request.add_dimensions = {"year"};
+  request.remove_dimensions = {"name"};
+  request.merge_fact_tables = false;
+  request.group_dims = {"year"};
+  request.agg_fn = "avg";
+  request.measure = "GDP";
+  request.deadline_ms = 40;
+  const std::string cube_request_bytes =
+      R"({"session_id":"s1","add_facts":["GDP"],"remove_facts":["area"],)"
+      R"("add_dimensions":["year"],"remove_dimensions":["name"],)"
+      R"("merge_fact_tables":false,"group_dims":["year"],"agg_fn":"avg",)"
+      R"("measure":"GDP","deadline_ms":40)";
+  EXPECT_EQ(Encode(request), cube_request_bytes + "}");
+  request.trace = true;
+  EXPECT_EQ(Encode(request), cube_request_bytes + R"(,"trace":true})");
+  EXPECT_EQ(Encode(CubeRequest{}),
+            R"({"session_id":"","add_facts":[],"remove_facts":[],)"
+            R"("add_dimensions":[],"remove_dimensions":[],)"
+            R"("merge_fact_tables":true,"group_dims":[],"agg_fn":"sum",)"
+            R"("measure":"","deadline_ms":0})");
+
+  TableDto table;
+  table.name = "GDP";
+  table.columns = {"country", "value"};
+  table.key_columns = {0};
+  table.rows = {{"Canada", "1.5"}, {}};
+  const char* table_bytes =
+      R"({"name":"GDP","columns":["country","value"],"key_columns":[0],)"
+      R"("rows":[["Canada","1.5"],[]]})";
+  EXPECT_EQ(Encode(table), table_bytes);
+
+  CellDto cell;
+  cell.group = {"2002"};
+  cell.value = 40.5;
+  cell.count = 3;
+  const char* cell_bytes = R"({"group":["2002"],"value":40.5,"count":3})";
+  EXPECT_EQ(Encode(cell), cell_bytes);
+
+  CubeResponseDto response;
+  response.fact_tables = {table};
+  response.dimension_tables = {};
+  response.warnings = {"no match"};
+  response.cells = {cell};
+  response.cell_total = 40.5;
+  response.stats = SmallStats();
+  const std::string cube_bytes =
+      std::string(R"({"status":{"code":"OK","message":""},"fact_tables":[)") +
+      table_bytes + R"(],"dimension_tables":[],"warnings":["no match"],)" +
+      R"("cells":[)" + cell_bytes + R"(],"cell_total":40.5,"stats":)" +
+      kStatsBytes;
+  EXPECT_EQ(Encode(response), cube_bytes + "}");
+  response.trace = SampleSpan();
+  EXPECT_EQ(Encode(response), cube_bytes + R"(,"trace":)" + kSpanBytes + "}");
+}
+
+TEST(WireGoldenTest, Observability) {
+  MethodStatsDto method;
+  method.method = "search";
+  method.count = 10;
+  method.errors = 1;
+  method.deadline_exceeded = 2;
+  method.total_ms = 12.5;
+  method.latency_buckets = {3, 0, 7};
+  const char* method_bytes =
+      R"({"method":"search","count":10,"errors":1,"deadline_exceeded":2,)"
+      R"("total_ms":12.5,"latency_buckets":[3,0,7]})";
+  EXPECT_EQ(Encode(method), method_bytes);
+
+  EXPECT_EQ(Encode(StatzRequest{}), "{}");
+
+  StatzResponse statz;
+  statz.epoch = 4;
+  statz.sessions = 2;
+  statz.sessions_created = 5;
+  statz.sessions_evicted = 3;
+  statz.uptime_ms = 99.25;
+  statz.bucket_bounds_ms = {0.5, 10};
+  statz.methods = {method};
+  statz.cumulative = SmallStats();
+  statz.transport = {{"frames_received", 8}, {"requests_shed", 1}};
+  EXPECT_EQ(Encode(statz),
+            std::string(R"({"status":{"code":"OK","message":""},"epoch":4,)"
+                        R"("sessions":2,"sessions_created":5,)"
+                        R"("sessions_evicted":3,"uptime_ms":99.25,)"
+                        R"("bucket_bounds_ms":[0.5,10],"methods":[)") +
+                method_bytes + R"(],"cumulative":)" + kStatsBytes +
+                R"(,"transport":[{"name":"frames_received","value":8},)"
+                R"({"name":"requests_shed","value":1}]})");
+
+  EXPECT_EQ(Encode(MetriczRequest{}), "{}");
+  MetriczResponse metricz;
+  metricz.text = "# TYPE x counter\nx 1\n";
+  EXPECT_EQ(Encode(metricz),
+            R"({"status":{"code":"OK","message":""},)"
+            R"("text":"# TYPE x counter\nx 1\n"})");
+
+  SlowlogRequest slowlog;
+  slowlog.limit = 20;
+  EXPECT_EQ(Encode(slowlog), R"({"limit":20})");
+
+  const std::string entry_bytes =
+      R"({"seq":9,"unix_ms":1700000000456,"method":"search",)"
+      R"x("session_id":"s1","detail":"(*, \"Canada\")","elapsed_ms":12.5,)x"
+      R"("threshold_ms":10,"status_code":"OK","deadline_exceeded":true,)"
+      R"("sampled":true)";
+  obs::SlowLogEntry entry = SampleSlowLogEntry();
+  EXPECT_EQ(ToJson(entry).Write(),
+            entry_bytes + R"(,"trace":)" + kSpanBytes + "}");
+  entry.trace = obs::SpanNode{};
+  EXPECT_EQ(ToJson(entry).Write(), entry_bytes + "}");
+  EXPECT_EQ(ToJson(obs::SlowLogEntry{}).Write(),
+            R"({"seq":0,"unix_ms":0,"method":"","session_id":"","detail":"",)"
+            R"("elapsed_ms":0,"threshold_ms":0,"status_code":"",)"
+            R"("deadline_exceeded":false,"sampled":false})");
+
+  SlowlogResponse log;
+  log.total_logged = 12;
+  log.entries = {SampleSlowLogEntry()};
+  EXPECT_EQ(Encode(log),
+            R"({"status":{"code":"OK","message":""},"total_logged":12,)"
+            R"("entries":[)" + entry_bytes + R"(,"trace":)" + kSpanBytes +
+                "}]}");
+}
+
+TEST(WireGoldenTest, SpanNode) {
+  EXPECT_EQ(ToJson(SampleSpan()).Write(), kSpanBytes);
+  // unix_ms, counters and children are omitted at their defaults.
+  EXPECT_EQ(ToJson(obs::SpanNode{}).Write(),
+            R"({"name":"","start_us":0,"elapsed_us":0})");
+}
+
+// --- Decode rules -------------------------------------------------------
+
+/// `{}` decodes to the struct defaults, for every wire type.
+template <typename T, typename DecodeFn>
+void ExpectEmptyObjectIsDefault(DecodeFn&& decode, const char* what) {
+  auto decoded = decode("{}");
+  ASSERT_TRUE(decoded.ok()) << what << ": " << decoded.status().ToString();
+  EXPECT_EQ(Encode(decoded.value()), Encode(T{})) << what;
+}
+
+TEST(WireDecodeRuleTest, EmptyObjectDecodesToDefaults) {
+#define SEDA_EXPECT_EMPTY_OBJECT_IS_DEFAULT(Type) \
+  ExpectEmptyObjectIsDefault<Type>(Decode##Type, #Type);
+  SEDA_WIRE_TYPES(SEDA_EXPECT_EMPTY_OBJECT_IS_DEFAULT)
+#undef SEDA_EXPECT_EMPTY_OBJECT_IS_DEFAULT
+
+  auto cube = DecodeCubeRequest("{}");
+  ASSERT_TRUE(cube.ok());
+  EXPECT_TRUE(cube.value().merge_fact_tables);
+  EXPECT_EQ(cube.value().agg_fn, "sum");
+  auto status = DecodeWireStatus("{}");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().code, "OK");
+}
+
+TEST(WireDecodeRuleTest, EmptyStringNormalisesToTheDefault) {
+  auto cube = DecodeCubeRequest(R"({"agg_fn":""})");
+  ASSERT_TRUE(cube.ok());
+  EXPECT_EQ(cube.value().agg_fn, "sum");
+  auto status = DecodeWireStatus(R"({"code":"","message":"m"})");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().code, "OK");
+  EXPECT_EQ(status.value().message, "m");
+}
+
+TEST(WireDecodeRuleTest, WrongKindValuesDecodeToTheDefault) {
+  auto cube = DecodeCubeRequest(
+      R"({"session_id":7,"add_facts":{"a":1},"merge_fact_tables":"no",)"
+      R"("group_dims":"year","agg_fn":[1],"measure":null,)"
+      R"("deadline_ms":-5,"trace":1})");
+  ASSERT_TRUE(cube.ok());
+  EXPECT_EQ(Encode(cube.value()), Encode(CubeRequest{}));
+  EXPECT_TRUE(cube.value().merge_fact_tables);
+  EXPECT_EQ(cube.value().agg_fn, "sum");
+
+  auto search = DecodeSearchResponseDto(
+      R"({"status":"fine","topk":{},"contexts":7,"connections":"x",)"
+      R"("stats":[1,2],"trace":"yes"})");
+  ASSERT_TRUE(search.ok());
+  EXPECT_EQ(Encode(search.value()), Encode(SearchResponseDto{}));
+
+  auto stats = DecodeStatsDto(
+      R"({"epoch":1.5,"elapsed_ms":"fast","deadline_exceeded":0,)"
+      R"("early_terminated":"yes","docs_scored":true})");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(Encode(stats.value()), Encode(StatsDto{}));
+
+  auto status = DecodeWireStatus(R"({"code":5,"message":false})");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().code, "OK");
+  EXPECT_EQ(status.value().message, "");
+}
+
+TEST(WireTest, ObsTypesByteStable) {
+  ExpectByteStable(SampleSpan(), DecodeSpanNode, "span tree");
+  ExpectByteStable(SampleSlowLogEntry(), DecodeSlowLogEntry, "slow-log entry");
+}
+
+// --- NaN round trip --------------------------------------------------------
+// JSON has no NaN: a non-finite double encodes as null, and null must decode
+// back to NaN for every double field, or Encode(Decode(Encode(x))) re-encodes
+// it as 0.
+
+TEST(WireTest, NanRoundTripsInEveryDoubleField) {
+  const double nan = std::nan("");
+
+  TupleDto tuple;
+  tuple.content_score = nan;
+  tuple.score = nan;
+  ExpectByteStable(tuple, DecodeTupleDto, "NaN tuple");
+  auto tuple_decoded = DecodeTupleDto(Encode(tuple));
+  ASSERT_TRUE(tuple_decoded.ok());
+  EXPECT_TRUE(std::isnan(tuple_decoded.value().content_score));
+  EXPECT_TRUE(std::isnan(tuple_decoded.value().score));
+
+  StatsDto stats;
+  stats.elapsed_ms = nan;
+  ExpectByteStable(stats, DecodeStatsDto, "NaN stats");
+
+  MethodStatsDto method;
+  method.total_ms = nan;
+  ExpectByteStable(method, DecodeMethodStatsDto, "NaN method stats");
+
+  StatzResponse statz;
+  statz.uptime_ms = nan;
+  statz.bucket_bounds_ms = {1, nan, std::numeric_limits<double>::infinity()};
+  ExpectByteStable(statz, DecodeStatzResponse, "NaN statz");
+  auto statz_decoded = DecodeStatzResponse(Encode(statz));
+  ASSERT_TRUE(statz_decoded.ok());
+  EXPECT_TRUE(std::isnan(statz_decoded.value().uptime_ms));
+  ASSERT_EQ(statz_decoded.value().bucket_bounds_ms.size(), 3u);
+  EXPECT_TRUE(std::isnan(statz_decoded.value().bucket_bounds_ms[1]));
+
+  obs::SlowLogEntry entry;
+  entry.elapsed_ms = nan;
+  ExpectByteStable(entry, DecodeSlowLogEntry, "NaN slow-log entry");
+  auto entry_decoded = DecodeSlowLogEntry(Encode(entry));
+  ASSERT_TRUE(entry_decoded.ok());
+  EXPECT_TRUE(std::isnan(entry_decoded.value().elapsed_ms));
+}
+
 }  // namespace
 }  // namespace seda::api

@@ -999,6 +999,29 @@ TEST(PersistPreconditionTest, SaveBeforeFinalizeFails) {
             StatusCode::kFailedPrecondition);
 }
 
+// Finalize enforces the thread-count ceiling Open() reads back, so Save()
+// cannot write an image its own reader rejects. The check runs before any
+// pool is sized, so the rejected counts never spawn a thread.
+TEST(PersistPreconditionTest, FinalizeRejectsThreadCountsPastTheCeiling) {
+  Seda seda;
+  data::PopulateScenario(seda.mutable_store());
+  for (bool query_side : {false, true}) {
+    SCOPED_TRACE(query_side ? "query_threads" : "num_threads");
+    SedaOptions options = ScenarioOptions();
+    (query_side ? options.query_threads : options.num_threads) =
+        kMaxThreadCount + 1;
+    EXPECT_EQ(seda.Finalize(options).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(seda.finalized());
+  }
+  ASSERT_TRUE(seda.Finalize(ScenarioOptions()).ok());
+  EXPECT_TRUE(seda.finalized());
+  std::string path = TempImagePath("thread_ceiling");
+  ASSERT_TRUE(seda.Save(path).ok());
+  Seda reopened;
+  EXPECT_TRUE(reopened.Open(path).ok());
+  std::remove(path.c_str());
+}
+
 TEST(PersistPreconditionTest, OpenOnUsedInstanceFails) {
   Seda writer;
   data::PopulateScenario(writer.mutable_store());
