@@ -2,9 +2,10 @@
 // tokenize/index + dataguide probing) vs Snapshot::Save vs Seda::Open on a
 // mid-sized Factbook. Open reads a validated mmap'd image and materializes
 // the structures without re-running any ingestion stage, so reopening a
-// warehouse is O(image size) — the property the CI smoke gates (a loaded
-// epoch must also serve byte-identical answers; exit 1 on divergence).
-// Emits BENCH_persist.json for the perf trajectory.
+// warehouse is O(image size) — the property the CI smoke gates: a
+// fresh-process Open must stay within a fixed budget per MiB of image, and
+// the loaded epoch must serve byte-identical answers (exit 1 on either
+// failure). Emits BENCH_persist.json for the perf trajectory.
 //
 // Modes:
 //   bench_snapshot_io [--scale S] [--out F] [--image PATH] [--keep-image]
@@ -27,6 +28,12 @@
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+// The CI smoke's budget for a fresh-process Open. One x86-64 server core
+// takes 4.2-6.3 ms/MiB at --scale 0.05 to 0.2 and ~3.5 at 1.0, most of it
+// decoding the document trees and checksumming the image; rebuilding the
+// inverted index on open instead of loading it reads 11-14 ms/MiB at 0.05.
+constexpr double kMaxOpenMsPerMib = 8.0;
 
 constexpr const char* kProbeQuery = R"((name, "United States") AND (GDP, *))";
 
@@ -223,6 +230,10 @@ int main(int argc, char** argv) {
 
   double speedup = open_ms > 0 ? cold_ms / open_ms : 0.0;
   std::printf("reopen speedup over cold ingestion: %.1fx\n", speedup);
+  const double image_mib = static_cast<double>(image_bytes) / (1024.0 * 1024.0);
+  const double open_ms_per_mib = image_mib > 0 ? open_ms / image_mib : 0.0;
+  std::printf("fresh-process open: %.2f ms per MiB of image (budget %.2f)\n",
+              open_ms_per_mib, kMaxOpenMsPerMib);
 
   if (FILE* json = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(json,
@@ -230,18 +241,21 @@ int main(int argc, char** argv) {
                  "  \"documents\": %zu,\n  \"image_bytes\": %ld,\n"
                  "  \"cold_finalize_ms\": %.4f,\n  \"save_ms\": %.4f,\n"
                  "  \"open_ms\": %.4f,\n  \"open_ms_in_process\": %.4f,\n"
-                 "  \"open_speedup\": %.4f\n}\n",
+                 "  \"open_speedup\": %.4f,\n  \"open_ms_per_mib\": %.4f\n}\n",
                  scale, docs, image_bytes, cold_ms, save_ms, open_ms,
-                 inproc_open_ms, speedup);
+                 inproc_open_ms, speedup, open_ms_per_mib);
     std::fclose(json);
     std::printf("wrote %s\n", out_path.c_str());
   }
   if (!keep_image) std::remove(image_path.c_str());
 
-  // Gate: reopening must beat re-ingestion decisively. The headline target
-  // is >=10x; fail the smoke only below 3x to keep noisy CI machines green.
-  if (speedup < 3.0) {
-    std::printf("FAIL: reopen speedup %.1fx below the 3x floor\n", speedup);
+  // Gate: Open stays O(image size) within a fixed budget. The speedup over
+  // the cold build is reported, not gated: it falls whenever ingestion gets
+  // faster, with Open unchanged.
+  if (open_ms_per_mib > kMaxOpenMsPerMib) {
+    std::printf("FAIL: fresh-process open %.2f ms/MiB over the %.2f ms/MiB "
+                "budget\n",
+                open_ms_per_mib, kMaxOpenMsPerMib);
     return 1;
   }
   return 0;

@@ -1,5 +1,11 @@
 #include "persist/writer.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 
 namespace seda::persist {
@@ -10,23 +16,63 @@ uint64_t AlignUp(uint64_t offset) {
   return (offset + kSectionAlignment - 1) & ~(uint64_t{kSectionAlignment} - 1);
 }
 
+/// Flushes the directory holding `path`, so a rename into it is durable.
+bool SyncDirectoryOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
 }  // namespace
 
-ImageWriter::~ImageWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+ImageWriter::~ImageWriter() { Abandon(); }
+
+void ImageWriter::Abandon() {
+  if (file_ == nullptr) return;
+  std::fclose(file_);
+  file_ = nullptr;
+  ::unlink(temp_path_.c_str());
 }
 
 Status ImageWriter::Open(const std::string& path) {
   if (file_ != nullptr) {
     return Status::FailedPrecondition("ImageWriter already open");
   }
-  file_ = std::fopen(path.c_str(), "wb");
+  // A fresh name beside the target (same file system, so Finish() can
+  // rename it into place): the pid and a per-process counter, with O_EXCL
+  // stepping past any leftover of a crashed writer.
+  static std::atomic<uint64_t> counter{0};
+  int fd = -1;
+  for (int attempt = 0; attempt < 16 && fd < 0; ++attempt) {
+    temp_path_ = path + ".tmp." + std::to_string(::getpid()) + "." +
+                 std::to_string(counter.fetch_add(1));
+    fd = ::open(temp_path_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                0666);
+    if (fd < 0 && errno != EEXIST) break;
+  }
+  if (fd < 0) return Status::IoError("cannot create image file: " + path);
+  // A re-save keeps the permission bits of the image it replaces.
+  struct stat old_image;
+  if (::stat(path.c_str(), &old_image) == 0 &&
+      ::fchmod(fd, old_image.st_mode & 07777) != 0) {
+    ::close(fd);
+    ::unlink(temp_path_.c_str());
+    return Status::IoError("cannot copy the image's mode: " + path);
+  }
+  file_ = ::fdopen(fd, "wb");
   if (file_ == nullptr) {
+    ::close(fd);
+    ::unlink(temp_path_.c_str());
     return Status::IoError("cannot create image file: " + path);
   }
   path_ = path;
-  // Reserve the header slot with zeroes; Finish() rewrites it. Until then the
-  // magic check makes readers reject the partial image.
+  // Reserve the header slot with zeroes; Finish() rewrites it.
   const char blank[sizeof(FileHeader)] = {0};
   if (std::fwrite(blank, sizeof(blank), 1, file_) != 1) {
     return Status::IoError("write failed: " + path_);
@@ -93,12 +139,24 @@ Status ImageWriter::Finish(uint64_t epoch) {
   header.file_size = offset_;
   header.header_crc =
       Crc32(&header, offsetof(FileHeader, header_crc));
-  bool ok = std::fseek(file_, 0, SEEK_SET) == 0 &&
-            std::fwrite(&header, sizeof(header), 1, file_) == 1 &&
-            std::fflush(file_) == 0;
-  std::fclose(file_);
+  const bool written = std::fseek(file_, 0, SEEK_SET) == 0 &&
+                       std::fwrite(&header, sizeof(header), 1, file_) == 1 &&
+                       std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
+  if (!written) {
+    Abandon();
+    return Status::IoError("finalizing image failed: " + path_);
+  }
+  const bool closed = std::fclose(file_) == 0;
   file_ = nullptr;
-  if (!ok) return Status::IoError("finalizing image failed: " + path_);
+  if (!closed || ::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    ::unlink(temp_path_.c_str());
+    return Status::IoError("publishing image failed: " + path_);
+  }
+  if (!SyncDirectoryOf(path_)) {
+    return Status::IoError("image published, but syncing its directory "
+                           "failed (the rename may not survive a crash): " +
+                           path_);
+  }
   return Status::OK();
 }
 

@@ -24,9 +24,13 @@ namespace seda::persist {
 ///   SEDA_RETURN_IF_ERROR(writer.Finish(epoch));
 ///
 /// Each section is buffered in memory, checksummed, and flushed at a
-/// kSectionAlignment boundary. Finish() appends the section table and
-/// rewrites the header, so a crash mid-write leaves an image that readers
-/// reject (the header is all zeroes until the final step).
+/// kSectionAlignment boundary. The bytes go to a temporary file beside the
+/// target; Finish() appends the section table, rewrites the header, fsyncs
+/// the file, renames it over the target and fsyncs the directory. So the
+/// target always holds either its old image or the complete new one — a
+/// crash, a failed write or a writer destroyed before Finish() leaves it
+/// untouched (the temporary file is removed) — and a process that has the
+/// old image mapped keeps reading the old bytes.
 class ImageWriter {
  public:
   ImageWriter() = default;
@@ -34,7 +38,7 @@ class ImageWriter {
   ImageWriter(const ImageWriter&) = delete;
   ImageWriter& operator=(const ImageWriter&) = delete;
 
-  /// Creates/truncates `path` and reserves the header slot.
+  /// Creates the temporary file for `path` and reserves the header slot.
   Status Open(const std::string& path);
 
   void BeginSection(SectionId id);
@@ -86,7 +90,8 @@ class ImageWriter {
   Status EndSection();
 
   /// Appends the section table, then rewrites the header with `epoch` and the
-  /// final file size. The writer is closed afterwards.
+  /// final file size, and publishes the image at the path given to Open().
+  /// The writer is closed afterwards.
   Status Finish(uint64_t epoch);
 
  private:
@@ -96,9 +101,12 @@ class ImageWriter {
     sink_->append(bytes, size);
   }
   Status WritePadded(const void* data, size_t size);
+  /// Closes the temporary file and removes it.
+  void Abandon();
 
   std::FILE* file_ = nullptr;
   std::string path_;
+  std::string temp_path_;
   std::string buffer_;
   std::string blob_;
   std::string* sink_ = &buffer_;

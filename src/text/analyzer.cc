@@ -1,43 +1,19 @@
 #include "text/analyzer.h"
 
-#include <cctype>
-
 namespace seda::text {
-
-namespace {
-bool IsTokenChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-}  // namespace
 
 std::vector<std::string> Tokenize(std::string_view input) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (size_t i = 0; i < input.size(); ++i) {
-    char c = input[i];
-    if (IsTokenChar(c)) {
-      current.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-      continue;
-    }
-    // Keep '.' inside numbers ("12.31") and '%' glued to nothing.
-    if (c == '.' && !current.empty() && IsDigit(current.back()) &&
-        i + 1 < input.size() && IsDigit(input[i + 1])) {
-      current.push_back('.');
-      continue;
-    }
-    if (!current.empty()) {
-      tokens.push_back(current);
-      current.clear();
-    }
-  }
-  if (!current.empty()) tokens.push_back(current);
+  ForEachToken(input, [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 
 std::string NormalizeToken(std::string_view token) {
-  auto tokens = Tokenize(token);
-  return tokens.empty() ? std::string() : tokens.front();
+  std::string first;
+  ForEachToken(token, [&](std::string_view t) {
+    if (first.empty()) first = t;
+  });
+  return first;
 }
 
 }  // namespace seda::text

@@ -111,6 +111,19 @@ inline double TermContentScore(double idf, size_t tf) {
 /// paper's chosen design: counts in the document store) or from the
 /// per-term path postings (the rejected design); both are exposed so the
 /// ablation bench can compare them.
+///
+/// The build works on integer term ids. Each document is walked once, in
+/// preorder, with its context path kept on an append/truncate stack: every
+/// text and attribute leaf is tokenized once (ForEachToken) into doc-local
+/// term ids, and every element or attribute node takes as its content(n)
+/// the token range its subtree appended — exact, because content(n) joins
+/// its pieces with a space and no token straddles one. A stamp array over
+/// the local ids finds each node's distinct terms and positions, and each
+/// (document, term) pair's postings are laid out as one contiguous run.
+/// Documents build in parallel; their local ids are remapped to build ids
+/// in DocId order, and each term's block is the runs copied in that order,
+/// so any worker count gives the same arena. tests/reference/index_scan.h
+/// keeps the per-node ContentString() + Tokenize build as the oracle.
 class InvertedIndex {
  public:
   /// Builds the index over every document currently in `store`.
@@ -211,23 +224,21 @@ class InvertedIndex {
     uint32_t counts = 0;  ///< count index (not word offset) in path_counts_
   };
 
-  /// Per-document partial index: every container appends in node visit order,
-  /// so concatenating shards in DocId order reproduces the sequential build.
+  /// One document's partial index over doc-local term ids, built by one
+  /// preorder walk (see IndexRange).
   struct DocShard;
-  /// One document's postings of one term, column by column.
-  struct PostingColumns;
+  /// One term's postings in the documents a build adds, and their sizes.
+  struct NewPostings;
 
   /// Appends to `arena` one block holding `head`'s postings followed by
-  /// every part's, in order (the parts' DocIds all sort after `head`'s).
-  static void AppendBlock(const PostingList& head,
-                          const std::vector<const PostingColumns*>& parts,
+  /// `added`'s, in order (the added DocIds all sort after `head`'s).
+  static void AppendBlock(const PostingList& head, const NewPostings& added,
                           std::vector<uint32_t>* arena);
 
   /// Both constructors' shared tail: shards, merges and lays out documents
   /// [first_doc, DocumentCount) on top of `base` (null: from scratch).
   void IndexRange(store::DocId first_doc, ThreadPool* pool,
                   const InvertedIndex* base);
-  DocShard BuildDocShard(store::DocId doc) const;
   /// The count at `index` of path_counts_ (a word pair).
   uint64_t CountAt(uint32_t index) const;
 

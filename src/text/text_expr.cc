@@ -275,9 +275,11 @@ class ExprParser {
     }
     ConsumeWord(word);
     if (word == "*") return TextExpr::All();
-    std::string norm = NormalizeToken(word);
-    if (norm.empty()) return TextExpr::All();
-    return TextExpr::Term(norm);
+    // A bare word is tokenized like indexed text: "Guinea-Bissau" or "U.S."
+    // holds several tokens and means the phrase of them, as when quoted.
+    auto tokens = Tokenize(word);
+    if (tokens.empty()) return TextExpr::All();
+    return TextExpr::Phrase(std::move(tokens));
   }
 
   std::string_view input_;

@@ -180,5 +180,44 @@ TEST_F(EndToEndTest, BadQuerySyntaxSurfacesParseError) {
   EXPECT_FALSE(snap_->Search("not a query").ok());
 }
 
+TEST(BareKeywordTest, PunctuatedKeywordSearchesAsItsPhrase) {
+  Seda seda;
+  const char* docs[][2] = {
+      {"gw", "<country><name>Guinea-Bissau</name><capital>Bissau</capital>"
+             "</country>"},
+      {"pg", "<country><name>Papua New Guinea</name><capital>Port Moresby"
+             "</capital></country>"},
+      {"gn", "<country><name>Guinea</name><capital>Conakry</capital>"
+             "</country>"},
+      {"rev", "<country><name>Bissau and Guinea</name></country>"},
+  };
+  for (const auto& [name, xml] : docs) {
+    ASSERT_TRUE(seda.AddXml(xml, name).ok());
+  }
+  ASSERT_TRUE(seda.Finalize(SedaOptions{}).ok());
+  auto snap = seda.snapshot();
+  auto bare = snap->Search("(*, Guinea-Bissau)");
+  auto quoted = snap->Search(R"((*, "Guinea-Bissau"))");
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+  const store::DocId papua = 1;
+  auto nodes = [&](const SearchResponse& response) {
+    std::vector<std::string> out;
+    for (const topk::ScoredTuple& tuple : response.topk) {
+      for (const text::NodeMatch& match : tuple.nodes) {
+        EXPECT_NE(match.node.doc, papua);
+        out.push_back(std::to_string(match.node.doc) + ":" +
+                      match.node.dewey.ToString() + "@" +
+                      std::to_string(tuple.score));
+      }
+    }
+    return out;
+  };
+  std::vector<std::string> found = nodes(bare.value());
+  EXPECT_FALSE(found.empty());
+  EXPECT_EQ(found, nodes(quoted.value()));
+  for (const std::string& node : found) EXPECT_EQ(node.rfind("0:", 0), 0u);
+}
+
 }  // namespace
 }  // namespace seda::core

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -223,6 +224,135 @@ TEST(PersistTest, ImagesAreByteStableAcrossSaves) {
   EXPECT_EQ(ReadFile(path_a), ReadFile(path_b));
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
+}
+
+/// Files in TempDir() whose names start with `prefix`.
+std::vector<std::string> TempFilesStartingWith(const std::string& prefix) {
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(PersistTest, OpenedImageKeepsAnsweringAfterItsPathIsResaved) {
+  Seda writer;
+  data::PopulateScenario(writer.mutable_store());
+  ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
+  std::string path = TempImagePath("resave");
+  ASSERT_TRUE(writer.Save(path).ok());
+
+  Seda reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  const std::vector<const char*> queries = {
+      kQuery1, R"((name, *))", R"((*, "Pacific Ocean") AND (name, *))",
+      R"((GDP, *) AND (name, "Deltaland 3"))"};
+  // Touch half the queries before the re-save, the rest only after it: the
+  // opened epoch decodes postings from its mapping on first touch.
+  std::vector<std::string> before;
+  for (size_t q = 0; q < queries.size() / 2; ++q) {
+    auto response = reader.snapshot()->Search(queries[q]);
+    ASSERT_TRUE(response.ok());
+    before.push_back(
+        ResponseFingerprint(response.value(), reader.snapshot()->store()));
+  }
+
+  // A different, larger image replaces the file the reader has mapped.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(writer.AddXml(DeltaDoc(i), "delta-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(writer.Commit().ok());
+  ASSERT_TRUE(writer.Save(path).ok());
+
+  Seda expected;  // what the reader served before the re-save
+  data::PopulateScenario(expected.mutable_store());
+  ASSERT_TRUE(expected.Finalize(ScenarioOptions()).ok());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto response = reader.snapshot()->Search(queries[q]);
+    ASSERT_TRUE(response.ok()) << queries[q];
+    const std::string got =
+        ResponseFingerprint(response.value(), reader.snapshot()->store());
+    if (q < before.size()) {
+      EXPECT_EQ(got, before[q]) << queries[q];
+    }
+    auto want = expected.snapshot()->Search(queries[q]);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got, ResponseFingerprint(want.value(), expected.snapshot()->store()))
+        << queries[q];
+  }
+  EXPECT_EQ(EpochFingerprint(*reader.snapshot()),
+            EpochFingerprint(*expected.snapshot()));
+
+  // The path now holds the new image.
+  Seda reopened;
+  ASSERT_TRUE(reopened.Open(path).ok());
+  EXPECT_EQ(EpochFingerprint(*reopened.snapshot()),
+            EpochFingerprint(*writer.snapshot()));
+  std::remove(path.c_str());
+}
+
+TEST(PersistTest, FailedSaveLeavesTheOldImageIntact) {
+  Seda writer;
+  data::PopulateScenario(writer.mutable_store());
+  ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
+  std::string path = TempImagePath("failed_save");
+  ASSERT_TRUE(writer.Save(path).ok());
+  const std::string old_bytes = ReadFile(path);
+  const std::string temp_prefix =
+      path.substr(path.find_last_of('/') + 1) + ".tmp.";
+
+  {
+    // A save abandoned midway: sections written, Finish() never reached.
+    persist::ImageWriter abandoned;
+    ASSERT_TRUE(abandoned.Open(path).ok());
+    abandoned.BeginSection(persist::SectionId::kOptions);
+    abandoned.PutU64(42);
+    ASSERT_TRUE(abandoned.EndSection().ok());
+    EXPECT_EQ(TempFilesStartingWith(temp_prefix).size(), 1u);
+    EXPECT_EQ(ReadFile(path), old_bytes);
+  }
+  EXPECT_EQ(ReadFile(path), old_bytes);
+  EXPECT_TRUE(TempFilesStartingWith(temp_prefix).empty());
+
+  {
+    // Finish() refuses an unterminated section; the target stays.
+    persist::ImageWriter unterminated;
+    ASSERT_TRUE(unterminated.Open(path).ok());
+    unterminated.BeginSection(persist::SectionId::kOptions);
+    EXPECT_FALSE(unterminated.Finish(7).ok());
+  }
+  EXPECT_EQ(ReadFile(path), old_bytes);
+  EXPECT_TRUE(TempFilesStartingWith(temp_prefix).empty());
+
+  // A save whose directory does not exist fails cleanly.
+  Status missing = writer.Save(::testing::TempDir() + "no_such_dir_" +
+                               std::to_string(::getpid()) + "/image.img");
+  EXPECT_EQ(missing.code(), StatusCode::kIoError) << missing.ToString();
+
+  Seda reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_EQ(EpochFingerprint(*reader.snapshot()),
+            EpochFingerprint(*writer.snapshot()));
+  std::remove(path.c_str());
+}
+
+// The re-save writes a new file and renames it over the old one; the
+// permission bits of the image it replaces carry over.
+TEST(PersistTest, ResaveKeepsTheImageMode) {
+  Seda writer;
+  data::PopulateScenario(writer.mutable_store());
+  ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
+  std::string path = TempImagePath("resave_mode");
+  ASSERT_TRUE(writer.Save(path).ok());
+  namespace fs = std::filesystem;
+  const fs::perms mode = fs::perms::owner_read | fs::perms::owner_write |
+                         fs::perms::group_read;
+  fs::permissions(path, mode);
+  ASSERT_TRUE(writer.Save(path).ok());
+  EXPECT_EQ(fs::status(path).permissions() & fs::perms::mask, mode);
+  std::remove(path.c_str());
 }
 
 TEST(PersistTest, CommitOnLoadedImageMatchesAllInMemoryIncremental) {

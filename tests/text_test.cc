@@ -50,6 +50,29 @@ TEST(TextExprTest, SingleWordPhraseBecomesTerm) {
   EXPECT_EQ(e.value()->kind, TextExpr::Kind::kTerm);
 }
 
+TEST(TextExprTest, BareWordWithPunctuationBecomesItsPhrase) {
+  auto hyphen = ParseTextExpr("Guinea-Bissau");
+  ASSERT_TRUE(hyphen.ok());
+  EXPECT_EQ(hyphen.value()->kind, TextExpr::Kind::kPhrase);
+  EXPECT_EQ(hyphen.value()->phrase,
+            (std::vector<std::string>{"guinea", "bissau"}));
+  EXPECT_EQ(hyphen.value()->ToString(),
+            ParseTextExpr("\"Guinea-Bissau\"").value()->ToString());
+  auto dots = ParseTextExpr("U.S.");
+  ASSERT_TRUE(dots.ok());
+  EXPECT_EQ(dots.value()->phrase, (std::vector<std::string>{"u", "s"}));
+  // One token stays one term: decimals and '_' are token characters.
+  for (const char* word : {"12.31", "GDP_ppp"}) {
+    auto e = ParseTextExpr(word);
+    ASSERT_TRUE(e.ok());
+    EXPECT_EQ(e.value()->kind, TextExpr::Kind::kTerm) << word;
+    EXPECT_EQ(e.value()->term, Tokenize(word).front());
+  }
+  auto blank = ParseTextExpr("a --");
+  ASSERT_TRUE(blank.ok());
+  EXPECT_EQ(blank.value()->ToString(), ParseTextExpr("a *").value()->ToString());
+}
+
 TEST(TextExprTest, ParseBooleanCombinations) {
   auto e = ParseTextExpr("a AND b OR c");
   ASSERT_TRUE(e.ok());
