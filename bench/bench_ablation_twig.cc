@@ -1,13 +1,17 @@
 // Ablation A2: the holistic twig-join complete-result generator (paper §7,
-// Bruno et al. [4]) vs. a naive backtracking join that verifies every
-// connection predicate pairwise. Both must produce identical tuple sets; the
-// holistic engine's advantage grows with the candidate list sizes.
+// Bruno et al. [4]) vs. a naive backtracking join that checks every
+// connection predicate literally as soon as both of its terms are bound (the
+// complete-result oracle, tests/reference/complete_oracle.h). Both must
+// produce identical tuple sets; the holistic engine's advantage grows with
+// the candidate list sizes.
 
 #include <chrono>
 #include <cstdio>
 
 #include "data/generators.h"
 #include "graph/data_graph.h"
+#include "reference/bfs.h"
+#include "reference/complete_oracle.h"
 #include "text/inverted_index.h"
 #include "twig/twig.h"
 
@@ -56,24 +60,21 @@ int main() {
     auto [twig_a, twig_a_ms] =
         time([&] { return generator.Execute(sel_first, {}); });
     auto [twig_b, twig_b_ms] = time([&] { return generator.Execute(sel_last, {}); });
-    auto [naive_a, naive_a_ms] =
-        time([&] { return generator.ExecuteNaive(sel_first, {}); });
-    auto [naive_b, naive_b_ms] =
-        time([&] { return generator.ExecuteNaive(sel_last, {}); });
+    const seda::reference::ReferenceGraph reference_graph(graph);
+    auto [naive_a, naive_a_ms] = time([&] {
+      return seda::reference::CompleteResults(index, reference_graph, sel_first, {});
+    });
+    auto [naive_b, naive_b_ms] = time([&] {
+      return seda::reference::CompleteResults(index, reference_graph, sel_last, {});
+    });
 
-    bool same = twig_a.ok() && twig_b.ok() && naive_a.ok() && naive_b.ok() &&
-                twig_a.value().tuples.size() == naive_a.value().tuples.size() &&
-                twig_b.value().tuples.size() == naive_b.value().tuples.size() &&
+    bool same = twig_a.ok() && twig_b.ok() &&
+                twig_a.value().tuples.size() == naive_a.size() &&
+                twig_b.value().tuples.size() == naive_b.size() &&
                 twig_a.value().tuples.size() == twig_b.value().tuples.size();
-    if (same) {
-      for (size_t i = 0; i < twig_a.value().tuples.size(); ++i) {
-        for (size_t t = 0; t < 3; ++t) {
-          if (!(twig_a.value().tuples[i].nodes[t] ==
-                naive_a.value().tuples[i].nodes[t])) {
-            same = false;
-          }
-        }
-      }
+    for (size_t i = 0; same && i < naive_a.size(); ++i) {
+      same = twig_a.value().tuples[i].nodes == naive_a[i].nodes &&
+             twig_b.value().tuples[i].nodes == naive_b[i].nodes;
     }
     std::printf("%8zu | %8zu | %12.2f %12.2f | %14.2f %14.2f | %5s\n",
                 store.DocumentCount(),

@@ -88,14 +88,14 @@ int main(int argc, char** argv) {
   }
   std::printf("complete result: %zu tuples\n", result.value().tuples.size());
 
-  seda::cube::CubeBuilder::Options with;
-  with.use_columns = true;
-  seda::cube::CubeBuilder::Options without;
-  without.use_columns = false;
+  // The tree-walk arm is the same builder without a column store.
+  seda::cube::CubeBuilder with(&snap->store(), &seda.catalog(), &snap->columns());
+  seda::cube::CubeBuilder without(&snap->store(), &seda.catalog(),
+                                  /*columns=*/nullptr);
 
   // Warm both paths once, gate byte-identity and cell totals, then time.
-  auto on = snap->BuildCube(result.value(), seda.catalog(), with);
-  auto off = snap->BuildCube(result.value(), seda.catalog(), without);
+  auto on = with.Build(result.value());
+  auto off = without.Build(result.value());
   if (!on.ok() || !off.ok()) return 1;
   const bool bytes_ok = on.value().ToString() == off.value().ToString();
 
@@ -118,9 +118,9 @@ int main(int argc, char** argv) {
   double ms_on = 0, ms_off = 0;
   for (int r = 0; r < reps; ++r) {
     Clock::time_point t0 = Clock::now();
-    auto a = snap->BuildCube(result.value(), seda.catalog(), with);
+    auto a = with.Build(result.value());
     Clock::time_point t1 = Clock::now();
-    auto b = snap->BuildCube(result.value(), seda.catalog(), without);
+    auto b = without.Build(result.value());
     Clock::time_point t2 = Clock::now();
     if (!a.ok() || !b.ok()) return 1;
     if (a.value().ToString() != b.value().ToString()) return 1;

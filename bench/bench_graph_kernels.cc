@@ -251,6 +251,9 @@ int main(int argc, char** argv) {
   std::printf("\nbudget-off ranking == golden hash-map ranking: %s\n",
               golden_applies ? (golden_ok ? "YES" : "NO")
                              : "n/a (corpus differs from the golden's)");
+  if (!golden_ok) {
+    std::printf("budget-off ranking:\n%s", runs[0].fingerprint.c_str());
+  }
   std::printf("budget-on ranking == budget-off: %s\n",
               budget_ok ? "YES" : "NO");
   std::printf("micro speedup >= 3x: %s\n", micro_ok ? "YES" : "NO");

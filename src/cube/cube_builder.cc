@@ -261,13 +261,11 @@ Result<StarSchema> CubeBuilder::Build(const twig::CompleteResult& result,
 
   // ---- Step 3: extraction ----
   obs::ScopedSpan extract_span(options.trace, "cube_extract");
-  const column::ColumnStore* cols =
-      options.use_columns ? columns_ : nullptr;
   std::map<const ContextBinding*, KeyPlan> plans;
   auto plan_for = [&](const ContextBinding* binding) -> const KeyPlan& {
     auto it = plans.find(binding);
     if (it == plans.end()) {
-      it = plans.emplace(binding, PlanKey(cols, dict, *binding)).first;
+      it = plans.emplace(binding, PlanKey(columns_, dict, *binding)).first;
     }
     return it->second;
   };
@@ -524,8 +522,8 @@ Result<StarSchema> CubeBuilder::Build(const twig::CompleteResult& result,
         const store::NodeId& node = tuple.nodes[source->second];
         const store::PathId pid = tuple.paths[source->second];
         const column::Column* col =
-            cols != nullptr && pid != store::kInvalidPathId
-                ? cols->FindByPathId(pid)
+            columns_ != nullptr && pid != store::kInvalidPathId
+                ? columns_->FindByPathId(pid)
                 : nullptr;
         uint32_t row = 0;
         if (col != nullptr) {

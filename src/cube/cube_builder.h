@@ -80,9 +80,6 @@ class CubeBuilder {
     /// Single-threaded, per-request, never persisted — see
     /// topk::TopKOptions::trace for the contract.
     obs::TraceSpan* trace = nullptr;
-    /// Scan the columnar projections where possible (no effect on output
-    /// bytes; false forces the tree walk everywhere — the bench baseline).
-    bool use_columns = true;
   };
 
   Result<StarSchema> Build(const twig::CompleteResult& result,

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "common/bounded_topn.h"
 #include "common/check.h"
@@ -45,10 +46,16 @@ std::vector<ScoredTuple> MergeShardTopK(
   for (std::vector<ScoredTuple>& shard : shards) {
     for (ScoredTuple& tuple : shard) merged.push_back(std::move(tuple));
   }
-  // TupleRankLess only ties for byte-identical tuples (a duplicate pair of
-  // cross-borrowed enumerations), so an unstable sort cannot change the
-  // rendered bytes.
+  // TupleRankLess only ties for identical node tuples, which score
+  // identically: a mixed-document tuple that two shards both reached. An
+  // unstable sort cannot change the rendered bytes, and the repeats sit
+  // side by side.
   std::sort(merged.begin(), merged.end(), TupleRankLess);
+  merged.erase(std::unique(merged.begin(), merged.end(),
+                           [](const ScoredTuple& a, const ScoredTuple& b) {
+                             return !TupleRankLess(a, b) && !TupleRankLess(b, a);
+                           }),
+               merged.end());
   if (k > 0 && merged.size() > k) merged.resize(k);
   return merged;
 }
@@ -64,37 +71,20 @@ std::string ScoredTuple::ToString(const store::DocumentStore& store) const {
   return out;
 }
 
-std::vector<std::vector<text::NodeMatch>> TopKSearcher::CandidateStreams(
-    const query::Query& query, const TopKOptions& options) const {
-  auto set = exec::BuildCandidates(*index_, query, options.max_candidates_per_term);
-  std::vector<std::vector<text::NodeMatch>> streams;
-  streams.reserve(set.terms.size());
-  for (exec::TermCandidates& term : set.terms) {
-    streams.push_back(std::move(term.matches));
-  }
-  return streams;
-}
-
 Result<std::vector<ScoredTuple>> TopKSearcher::Search(const query::Query& query,
                                                       const TopKOptions& options,
                                                       SearchStats* stats) const {
-  return SearchImpl(query, options, /*threshold_stop=*/true, nullptr, stats);
+  obs::ScopedSpan span(options.trace, "candidates");
+  exec::CandidateSet candidates =
+      exec::BuildCandidates(*index_, query, options.max_candidates_per_term);
+  span.AddCounter("candidates_total", candidates.CandidatesTotal());
+  span.End();
+  return Search(query, options, candidates, stats);
 }
 
 Result<std::vector<ScoredTuple>> TopKSearcher::Search(
     const query::Query& query, const TopKOptions& options,
     const exec::CandidateSet& candidates, SearchStats* stats) const {
-  return SearchImpl(query, options, /*threshold_stop=*/true, &candidates, stats);
-}
-
-Result<std::vector<ScoredTuple>> TopKSearcher::NaiveSearch(
-    const query::Query& query, const TopKOptions& options, SearchStats* stats) const {
-  return SearchImpl(query, options, /*threshold_stop=*/false, nullptr, stats);
-}
-
-Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
-    const query::Query& query, const TopKOptions& options, bool threshold_stop,
-    const exec::CandidateSet* shared_candidates, SearchStats* stats) const {
   if (query.terms.empty()) {
     return Status::InvalidArgument("empty query");
   }
@@ -106,20 +96,10 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
   }
   const size_t m = query.terms.size();
 
-  exec::CandidateSet local_candidates;
-  const exec::CandidateSet* candidates = shared_candidates;
-  if (candidates == nullptr) {
-    obs::ScopedSpan span(options.trace, "candidates");
-    local_candidates =
-        exec::BuildCandidates(*index_, query, options.max_candidates_per_term);
-    candidates = &local_candidates;
-    span.AddCounter("candidates_total", local_candidates.CandidatesTotal());
-  }
-
   SearchStats local_stats;
-  local_stats.candidates_total = candidates->CandidatesTotal();
-  local_stats.postings_advanced = candidates->stats.postings_advanced;
-  local_stats.docs_skipped = candidates->stats.docs_skipped;
+  local_stats.candidates_total = candidates.CandidatesTotal();
+  local_stats.postings_advanced = candidates.stats.postings_advanced;
+  local_stats.docs_skipped = candidates.stats.docs_skipped;
 
   obs::ScopedSpan group_span(options.trace, "group_docs");
   // Document-at-a-time alignment: the per-term score-sorted streams are
@@ -134,7 +114,7 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
   };
   std::map<store::DocId, DocGroup> groups;
   for (size_t t = 0; t < m; ++t) {
-    for (const text::NodeMatch& match : candidates->terms[t].matches) {
+    for (const text::NodeMatch& match : candidates.terms[t].matches) {
       auto [it, inserted] = groups.try_emplace(match.node.doc, m);
       auto& bucket = it->second.per_term[t];
       if (options.max_per_doc_per_term > 0 &&
@@ -190,12 +170,17 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
       DocGroup& ga = groups.at(a);
       const DocGroup& gb = groups.at(b);
       for (size_t t = 0; t < m; ++t) {
+        std::vector<const text::NodeMatch*>& bucket = ga.per_term[t];
         for (const text::NodeMatch* match : gb.per_term[t]) {
           if (options.max_per_doc_per_term > 0 &&
-              ga.per_term[t].size() >= 2 * options.max_per_doc_per_term) {
+              bucket.size() >= 2 * options.max_per_doc_per_term) {
             break;
           }
-          ga.per_term[t].push_back(match);
+          // gb may hold nodes it borrowed itself, ga's own among them; a
+          // bucket lists each candidate once.
+          if (std::find(bucket.begin(), bucket.end(), match) == bucket.end()) {
+            bucket.push_back(match);
+          }
         }
       }
     }
@@ -250,6 +235,10 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
   std::vector<ScoredTuple> batch;
   std::vector<std::optional<size_t>> sizes;
   std::vector<graph::GraphStats> kernel_stats;
+  // Mixed-document tuples already enumerated (by candidate identity: each
+  // term's candidates are distinct objects, shared by every group that
+  // borrows them).
+  std::set<std::vector<const text::NodeMatch*>> borrowed_seen;
 
   // Saturating size of a group's per-term cross product, for budget
   // accounting ahead of (or instead of) enumerating it.
@@ -286,10 +275,21 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
       local_stats.deadline_exceeded = true;
       break;
     }
-    if (threshold_stop && best.Full() &&
-        best.Worst().score >= bound * Compactness(0)) {
-      local_stats.early_terminated = true;
-      break;
+    // Threshold stop: this and every later document scores at most `bound`
+    // (compactness 1), and an equal score ranks by document order. A tuple
+    // of two or more distinct nodes spans at least one edge, so it ties a
+    // bound only when the bound is 0. A single-term tuple lives in its own
+    // document, and later documents of an equal bound come in ascending
+    // order, so it can tie-win only while `doc` precedes the k-th tuple's.
+    if (best.Full()) {
+      const ScoredTuple& worst = best.Worst();
+      const double ceiling = bound * Compactness(0);
+      const bool tie_can_win =
+          m == 1 ? doc < worst.nodes[0].node.doc : ceiling == 0;
+      if (worst.score > ceiling || (worst.score == ceiling && !tie_can_win)) {
+        local_stats.early_terminated = true;
+        break;
+      }
     }
     const DocGroup& group = groups.at(doc);
 
@@ -331,6 +331,8 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
       tuple.nodes.reserve(m);
       double content = 0;
       bool distinct = true;
+      const store::DocId first_doc = group.per_term[0][idx[0]]->node.doc;
+      bool single_doc = true;
       for (size_t t = 0; t < m; ++t) {
         SEDA_DCHECK_LT(idx[t], group.per_term[t].size())
             << "cross-product odometer ran past a term stream";
@@ -342,10 +344,22 @@ Result<std::vector<ScoredTuple>> TopKSearcher::SearchImpl(
             break;
           }
         }
+        single_doc = single_doc && match->node.doc == first_doc;
         tuple.nodes.push_back(*match);
         content += match->score;
       }
       ++enumerated;
+      // Borrowing puts a tuple into every group that holds all of its
+      // nodes; score each node tuple once. A tuple from one document is
+      // that document's own enumeration, and a mixed tuple counts in the
+      // first group that reaches it.
+      if (single_doc) {
+        distinct = distinct && first_doc == doc;
+      } else if (distinct) {
+        std::vector<const text::NodeMatch*> key(m);
+        for (size_t t = 0; t < m; ++t) key[t] = group.per_term[t][idx[t]];
+        distinct = borrowed_seen.insert(std::move(key)).second;
+      }
       if (distinct) {
         tuple.content_score = content;
         batch.push_back(std::move(tuple));

@@ -129,7 +129,8 @@ struct TopKOptions {
 bool TupleRankLess(const ScoredTuple& a, const ScoredTuple& b);
 
 /// Scatter-gather merge for the shard-by-DocId serving mode: concatenates
-/// the per-shard top-k lists (each already sorted by TupleRankLess) and
+/// the per-shard top-k lists (each already sorted by TupleRankLess), drops
+/// the repeats of a cross-document tuple that two shards both scored, and
 /// keeps the k best under the same order. Because every candidate document
 /// belongs to exactly one shard, the inputs partition the unsharded scan's
 /// heap insertions, and the TA bound guarantees each shard's local top-k
@@ -160,7 +161,11 @@ class TopKSearcher {
       : index_(index), graph_(graph), pool_(pool) {}
 
   /// Runs the TA search. Results are sorted by descending score; ties break
-  /// by document order of the first differing node.
+  /// by document order of the first differing node. Each distinct node tuple
+  /// appears at most once. With `k` above every tuple count the heap never
+  /// fills, so the threshold never stops the scan and every candidate
+  /// combination is scored; tests/reference/topk_oracle.h checks the result
+  /// against the paper's definition.
   Result<std::vector<ScoredTuple>> Search(const query::Query& query,
                                           const TopKOptions& options,
                                           SearchStats* stats = nullptr) const;
@@ -173,24 +178,7 @@ class TopKSearcher {
                                           const exec::CandidateSet& candidates,
                                           SearchStats* stats = nullptr) const;
 
-  /// Baseline for the A1 ablation: enumerates and scores every candidate
-  /// combination (same candidate streams, no early termination).
-  Result<std::vector<ScoredTuple>> NaiveSearch(const query::Query& query,
-                                               const TopKOptions& options,
-                                               SearchStats* stats = nullptr) const;
-
-  /// Per-term candidate matches (index evaluation restricted to the term's
-  /// context), sorted by descending content score. Thin wrapper over
-  /// exec::BuildCandidates, kept for callers that want bare streams.
-  std::vector<std::vector<text::NodeMatch>> CandidateStreams(
-      const query::Query& query, const TopKOptions& options) const;
-
  private:
-  Result<std::vector<ScoredTuple>> SearchImpl(
-      const query::Query& query, const TopKOptions& options,
-      bool threshold_stop, const exec::CandidateSet* shared_candidates,
-      SearchStats* stats) const;
-
   const text::InvertedIndex* index_;
   const graph::DataGraph* graph_;
   ThreadPool* pool_;

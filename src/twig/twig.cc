@@ -124,8 +124,8 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
-/// The resolved execution plan shared by the holistic and the naive engine,
-/// so both implement identical semantics.
+/// The resolved execution plan: the twig partition, the effective tree-join
+/// depth of every same-twig pair and the link joins between twigs.
 struct Plan {
   size_t term_count = 0;
   std::vector<size_t> twig_of_term;                 // term -> twig id (dense)
@@ -257,6 +257,20 @@ Result<Plan> BuildPlan(const std::vector<TermBinding>& terms,
       if (PrefixAt(terms[i].path, d_eff) != PrefixAt(terms[j].path, d_eff)) {
         return Status::InvalidArgument("inconsistent tree joins: contexts diverge "
                                        "above the requested join depth");
+      }
+      for (const ChosenConnection& conn : tree_conns) {
+        if (std::min(conn.term_a, conn.term_b) != i ||
+            std::max(conn.term_a, conn.term_b) != j ||
+            PathDepth(conn.join_path) == d_eff) {
+          continue;
+        }
+        // The other joins share a deeper instance between the two terms, so
+        // no tuple can put their common ancestor at the chosen path.
+        return Status::InvalidArgument(
+            "tree join of terms " + std::to_string(i) + " and " +
+            std::to_string(j) + " at " + conn.join_path +
+            " conflicts with the other joins, which share their ancestor at " +
+            PrefixAt(terms[i].path, d_eff));
       }
       if (d_eff == PathDepth(terms[i].path) && d_eff == PathDepth(terms[j].path)) {
         return Status::InvalidArgument(
@@ -767,95 +781,6 @@ Result<CompleteResult> CompleteResultGenerator::Execute(
     result.tuples.push_back(std::move(out));
   }
   // Canonical order for comparisons.
-  std::sort(result.tuples.begin(), result.tuples.end(),
-            [](const ResultTuple& x, const ResultTuple& y) {
-              for (size_t i = 0; i < x.nodes.size(); ++i) {
-                if (x.nodes[i] < y.nodes[i]) return true;
-                if (y.nodes[i] < x.nodes[i]) return false;
-              }
-              return false;
-            });
-  return result;
-}
-
-Result<CompleteResult> CompleteResultGenerator::ExecuteNaive(
-    const std::vector<TermBinding>& terms,
-    const std::vector<ChosenConnection>& connections) const {
-  auto plan_result = BuildPlan(terms, connections);
-  if (!plan_result.ok()) return plan_result.status();
-  const Plan& plan = plan_result.value();
-  const size_t m = terms.size();
-  auto streams = TermStreams(terms);
-  const store::PathDictionary& dict = index_->store().paths();
-
-  // Link predicates per pair.
-  std::map<std::pair<size_t, size_t>, const ChosenConnection*> link_of_pair;
-  for (const ChosenConnection& link : plan.links) {
-    link_of_pair[{link.term_a, link.term_b}] = &link;
-  }
-
-  CompleteResult result;
-  result.twig_count = plan.twig_count;
-  result.cross_twig_joins = plan.links.size();
-
-  std::vector<const text::NodeMatch*> chosen(m, nullptr);
-  auto satisfied = [&](size_t i, size_t j) {
-    // i > j: check the (min, max) pair.
-    size_t lo = std::min(i, j), hi = std::max(i, j);
-    const NodeId& ni = chosen[i]->node;
-    const NodeId& nj = chosen[j]->node;
-    auto tree_it = plan.tree_depth.find({lo, hi});
-    if (tree_it != plan.tree_depth.end()) {
-      if (ni.doc != nj.doc) return false;
-      return xml::CommonPrefixLength(ni.dewey, nj.dewey) == tree_it->second;
-    }
-    auto check_link = [&](const ChosenConnection& link) {
-      const NodeId& na = chosen[link.term_a]->node;
-      const NodeId& nb = chosen[link.term_b]->node;
-      for (const NodeId& s : LinkEndpointInstances(
-               *index_, na, terms[link.term_a].path, link.source_path)) {
-        for (const NodeId& t : LinkEndpointInstances(
-                 *index_, nb, terms[link.term_b].path, link.target_path)) {
-          if (EdgeMatches(*graph_, s, t, link.link_label)) return true;
-        }
-      }
-      return false;
-    };
-    auto link_it = link_of_pair.find({lo, hi});
-    if (link_it != link_of_pair.end()) return check_link(*link_it->second);
-    // Also honor links given in the (hi, lo) orientation.
-    link_it = link_of_pair.find({hi, lo});
-    if (link_it != link_of_pair.end()) return check_link(*link_it->second);
-    return true;  // cross-twig pair without direct link: unconstrained
-  };
-
-  auto backtrack = [&](auto&& self, size_t term) -> void {
-    if (term == m) {
-      ResultTuple tuple;
-      tuple.nodes.resize(m);
-      tuple.paths.resize(m);
-      for (size_t t = 0; t < m; ++t) {
-        tuple.nodes[t] = chosen[t]->node;
-        tuple.paths[t] = dict.Find(terms[t].path);
-      }
-      result.tuples.push_back(std::move(tuple));
-      return;
-    }
-    for (const text::NodeMatch& candidate : streams[term]) {
-      chosen[term] = &candidate;
-      bool ok = true;
-      for (size_t prev = 0; prev < term; ++prev) {
-        if (!satisfied(term, prev)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) self(self, term + 1);
-    }
-    chosen[term] = nullptr;
-  };
-  backtrack(backtrack, 0);
-
   std::sort(result.tuples.begin(), result.tuples.end(),
             [](const ResultTuple& x, const ResultTuple& y) {
               for (size_t i = 0; i < x.nodes.size(); ++i) {

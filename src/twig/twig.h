@@ -79,7 +79,9 @@ struct ExecuteOptions {
 /// into twigs (query pattern trees over parent/child edges within a
 /// document), runs a holistic structural join over Dewey-ordered streams from
 /// the full-text index for each twig, and combines twigs with hash joins over
-/// the cross-twig (non-tree) edges.
+/// the cross-twig (non-tree) edges. Its tuple set is checked against a
+/// nested-loop join that tests every predicate literally
+/// (tests/reference/complete_oracle.h).
 class CompleteResultGenerator {
  public:
   CompleteResultGenerator(const text::InvertedIndex* index,
@@ -90,18 +92,13 @@ class CompleteResultGenerator {
   /// default to a tree join at their deepest common path prefix when they
   /// live in one twig; terms in different twigs must be bridged by link
   /// connections (directly or transitively), otherwise an error is returned.
+  /// A tree connection whose join path the other joins contradict (they
+  /// force a deeper common ancestor) is an InvalidArgument too.
   /// A non-zero `options.deadline_ms` bounds the run: on expiry the partial
   /// result comes back with `deadline_exceeded` set instead of an error.
   Result<CompleteResult> Execute(const std::vector<TermBinding>& terms,
                                  const std::vector<ChosenConnection>& connections,
                                  const ExecuteOptions& options = {}) const;
-
-  /// Naive baseline for the A2 ablation: per-document cross products of term
-  /// candidates filtered by directly verifying every connection predicate.
-  /// Produces the same tuples as Execute (possibly in different order).
-  Result<CompleteResult> ExecuteNaive(
-      const std::vector<TermBinding>& terms,
-      const std::vector<ChosenConnection>& connections) const;
 
  private:
   std::vector<std::vector<text::NodeMatch>> TermStreams(

@@ -235,12 +235,9 @@ uint64_t ExpectCubeByteIdentical(const core::Snapshot& snap,
                                  const twig::CompleteResult& result,
                                  const char* label) {
   cube::CubeBuilder builder(&snap.store(), &catalog, &snap.columns());
-  cube::CubeBuilder::Options on;
-  on.use_columns = true;
-  cube::CubeBuilder::Options off;
-  off.use_columns = false;
-  auto with = builder.Build(result, on);
-  auto without = builder.Build(result, off);
+  cube::CubeBuilder tree_walk(&snap.store(), &catalog, /*columns=*/nullptr);
+  auto with = builder.Build(result);
+  auto without = tree_walk.Build(result);
   EXPECT_TRUE(with.ok()) << label << ": " << with.status().ToString();
   EXPECT_TRUE(without.ok()) << label << ": " << without.status().ToString();
   if (!with.ok() || !without.ok()) return 0;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "data/generators.h"
 #include "graph/data_graph.h"
@@ -117,8 +120,27 @@ TEST_F(TopKTest, ScoreFormulaIsContentTimesCompactness) {
   }
 }
 
-// Property: TA search and the naive baseline agree on the top-k scores for a
-// panel of queries (the TA early-termination must not change results).
+/// Bit-exact rendering of a ranking: node ids, connection sizes and scores
+/// as hex doubles.
+std::string Fingerprint(const std::vector<ScoredTuple>& tuples) {
+  std::string out;
+  char buf[64];
+  for (const ScoredTuple& t : tuples) {
+    std::snprintf(buf, sizeof(buf), "%a|%zu[", t.score, t.connection_size);
+    out += buf;
+    for (const text::NodeMatch& nm : t.nodes) out += nm.node.ToString() + ",";
+    out += "]\n";
+  }
+  return out;
+}
+
+/// A k above every tuple count: the heap never fills, so the TA threshold
+/// never fires and the scan scores every candidate combination.
+constexpr size_t kEveryTuple = size_t{1} << 30;
+
+// Property: the TA search at k = 8 and the exhaustive ranking (the same
+// search at a k above every tuple count) agree on the first 8 tuples, bit
+// for bit — early termination must not change results.
 class TaVsNaiveTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TaVsNaiveTest, SameTopScores) {
@@ -133,16 +155,18 @@ TEST_P(TaVsNaiveTest, SameTopScores) {
   ASSERT_TRUE(q.ok());
   TopKOptions options;
   options.k = 8;
-  SearchStats ta_stats, naive_stats;
+  TopKOptions exhaustive = options;
+  exhaustive.k = kEveryTuple;
+  SearchStats ta_stats, full_stats;
   auto ta = searcher.Search(q.value(), options, &ta_stats);
-  auto naive = searcher.NaiveSearch(q.value(), options, &naive_stats);
+  auto full = searcher.Search(q.value(), exhaustive, &full_stats);
   ASSERT_TRUE(ta.ok());
-  ASSERT_TRUE(naive.ok());
-  ASSERT_EQ(ta.value().size(), naive.value().size());
-  for (size_t i = 0; i < ta.value().size(); ++i) {
-    EXPECT_NEAR(ta.value()[i].score, naive.value()[i].score, 1e-9) << "rank " << i;
-  }
-  EXPECT_LE(ta_stats.docs_scored, naive_stats.docs_scored);
+  ASSERT_TRUE(full.ok());
+  std::vector<ScoredTuple> prefix = full.value();
+  if (prefix.size() > options.k) prefix.resize(options.k);
+  EXPECT_EQ(Fingerprint(ta.value()), Fingerprint(prefix));
+  EXPECT_FALSE(full_stats.early_terminated);
+  EXPECT_LE(ta_stats.docs_scored, full_stats.docs_scored);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -167,31 +191,82 @@ TEST_F(TopKTest, StatsArePopulated) {
   EXPECT_GT(stats.postings_advanced, 0u);
 }
 
-// Regression for the bounded-heap top-k buffer: NaiveSearch at small k must
+// Regression for the bounded-heap top-k buffer: the search at small k must
 // return exactly the prefix of the full ranking (same tuples, same order,
 // same tie-breaks) that the old sort-on-every-insert produced.
 TEST_F(TopKTest, BoundedHeapMatchesFullRankingPrefix) {
   query::Query query = Q("(trade_country, *) AND (percentage, *)");
   TopKOptions full_options;
-  full_options.k = 100000;  // large enough to keep everything
-  auto full = searcher_->NaiveSearch(query, full_options);
+  full_options.k = kEveryTuple;
+  auto full = searcher_->Search(query, full_options);
   ASSERT_TRUE(full.ok());
   ASSERT_GT(full.value().size(), 5u);
   for (size_t k : {1ul, 2ul, 5ul}) {
     TopKOptions options;
     options.k = k;
-    auto result = searcher_->NaiveSearch(query, options);
+    auto result = searcher_->Search(query, options);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result.value().size(), k);
-    for (size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(result.value()[i].score, full.value()[i].score) << "rank " << i;
-      ASSERT_EQ(result.value()[i].nodes.size(), full.value()[i].nodes.size());
-      for (size_t t = 0; t < result.value()[i].nodes.size(); ++t) {
-        EXPECT_EQ(result.value()[i].nodes[t].node, full.value()[i].nodes[t].node)
-            << "rank " << i << " term " << t;
-      }
-    }
+    std::vector<ScoredTuple> prefix(full.value().begin(),
+                                    full.value().begin() + k);
+    EXPECT_EQ(Fingerprint(result.value()), Fingerprint(prefix)) << "k=" << k;
   }
+}
+
+/// Two documents that reference each other through the matching nodes, so
+/// each document's group borrows the other's candidate and both hold the
+/// one cross-document tuple.
+class MutualBorrowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(
+        store_.AddXml(R"(<r id="x"><ref idref="y">apple</ref></r>)", "x").ok());
+    ASSERT_TRUE(
+        store_.AddXml(R"(<r id="y"><ref idref="x">berry</ref></r>)", "y").ok());
+    graph_ = std::make_unique<graph::DataGraph>(&store_);
+    ASSERT_EQ(graph_->ResolveIdRefs(), 2u);
+    ASSERT_TRUE(graph_->BuildCsr());
+    index_ = std::make_unique<text::InvertedIndex>(&store_);
+    searcher_ = std::make_unique<TopKSearcher>(index_.get(), graph_.get());
+    query_ = query::ParseQuery("(ref, apple) AND (ref, berry)").value();
+  }
+
+  store::DocumentStore store_;
+  std::unique_ptr<graph::DataGraph> graph_;
+  std::unique_ptr<text::InvertedIndex> index_;
+  std::unique_ptr<TopKSearcher> searcher_;
+  query::Query query_;
+};
+
+TEST_F(MutualBorrowTest, CrossDocumentTupleIsReturnedOnce) {
+  TopKOptions options;
+  SearchStats stats;
+  auto result = searcher_->Search(query_, options, &stats);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.value().size(), 1u);
+  EXPECT_EQ(result.value()[0].nodes[0].node.doc, 0u);
+  EXPECT_EQ(result.value()[0].nodes[1].node.doc, 1u);
+  EXPECT_EQ(stats.docs_scored, 2u);    // both groups hold the tuple...
+  EXPECT_EQ(stats.tuples_scored, 1u);  // ...and it is scored once
+}
+
+TEST_F(MutualBorrowTest, ShardMergeDropsTheRepeat) {
+  // Each shard owns one of the two documents and scores the tuple once;
+  // the merge keeps one copy, as the unsharded scan does.
+  std::vector<std::vector<ScoredTuple>> shards;
+  for (size_t shard = 0; shard < 2; ++shard) {
+    TopKOptions options;
+    options.shard_count = 2;
+    options.shard_index = shard;
+    auto result = searcher_->Search(query_, options);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result.value().size(), 1u);
+    shards.push_back(std::move(result).value());
+  }
+  auto unsharded = searcher_->Search(query_, TopKOptions{});
+  ASSERT_TRUE(unsharded.ok());
+  EXPECT_EQ(Fingerprint(MergeShardTopK(std::move(shards), 10)),
+            Fingerprint(unsharded.value()));
 }
 
 // Hand-built corpus where the TA bound order disagrees with the final score
@@ -230,8 +305,7 @@ TEST_F(TupleHeapSemanticsTest, EvictsWhenBetterTupleArrivesLater) {
   TopKOptions options;
   options.k = 1;
   SearchStats stats;
-  auto result =
-      searcher_->NaiveSearch(Q("(a, apple) AND (b, berry)"), options, &stats);
+  auto result = searcher_->Search(Q("(a, apple) AND (b, berry)"), options, &stats);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().size(), 1u);
   // The winner is an adjacent pair, not doc 0's far pair...
