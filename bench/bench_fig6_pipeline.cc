@@ -25,10 +25,8 @@ constexpr const char* kPct = "/country/economy/import_partners/item/percentage";
 
 int main(int argc, char** argv) {
   double scale = 0.25;  // ~400 documents
-  std::string out_path = "BENCH_pipeline.json";
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--scale") == 0) scale = std::atof(argv[i + 1]);
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
   }
   std::printf("=== Figure 6: SEDA control flow, stage by stage ===\n");
   seda::core::Seda seda;
@@ -36,10 +34,8 @@ int main(int argc, char** argv) {
   data_options.scale = scale;
   auto ingest_start = Clock::now();
   seda::data::WorldFactbookGenerator(data_options).Populate(seda.mutable_store());
-  std::vector<std::pair<std::string, double>> stages;
-  stages.emplace_back("ingest", Ms(ingest_start));
   std::printf("%-42s %8.1f ms  (%zu docs, %llu nodes)\n", "ingest",
-              stages.back().second, seda.mutable_store()->DocumentCount(),
+              Ms(ingest_start), seda.mutable_store()->DocumentCount(),
               static_cast<unsigned long long>(
                   seda.mutable_store()->TotalNodeCount()));
 
@@ -61,10 +57,10 @@ int main(int argc, char** argv) {
   parallel.num_threads = 0;  // one worker per hardware core
   auto finalize_start = Clock::now();
   if (!seda.Finalize(parallel).ok()) return 1;
-  stages.emplace_back("finalize", Ms(finalize_start));
+  const double finalize_ms = Ms(finalize_start);
   std::shared_ptr<const seda::core::Snapshot> snap = seda.snapshot();
   std::printf("%-42s %8.1f ms  (%zu workers, %zu dataguides, %zu distinct paths)\n",
-              "finalize (graph + index + dataguides)", stages.back().second,
+              "finalize (graph + index + dataguides)", finalize_ms,
               seda::ThreadPool::DefaultThreadCount(), snap->dataguides().size(),
               snap->store().paths().size());
 
@@ -90,9 +86,9 @@ int main(int argc, char** argv) {
     std::printf("search failed: %s\n", response.status().ToString().c_str());
     return 1;
   }
-  stages.emplace_back("search", Ms(search_start));
+  const double search_ms = Ms(search_start);
   std::printf("%-42s %8.1f ms  (top-%zu, %llu combinations)\n",
-              "top-k search + context/connection summary", stages.back().second,
+              "top-k search + context/connection summary", search_ms,
               response.value().topk.size(),
               static_cast<unsigned long long>(
                   response.value().contexts.CombinationCount()));
@@ -112,18 +108,18 @@ int main(int argc, char** argv) {
   auto refine_start = Clock::now();
   auto refined_response = snap->Search(refined.value());
   if (!refined_response.ok()) return 1;
-  stages.emplace_back("refined_search", Ms(refine_start));
+  const double refine_ms = Ms(refine_start);
   std::printf("%-42s %8.1f ms  (top-%zu)\n", "refined search (contexts chosen)",
-              stages.back().second, refined_response.value().topk.size());
+              refine_ms, refined_response.value().topk.size());
 
   // Stage 3: complete result set.
   auto complete_start = Clock::now();
   auto result =
       snap->CompleteResults(refined.value(), {kName, kTrade, kPct}, {});
   if (!result.ok()) return 1;
-  stages.emplace_back("complete_results", Ms(complete_start));
+  const double complete_ms = Ms(complete_start);
   std::printf("%-42s %8.1f ms  (%zu tuples, %zu twigs)\n",
-              "complete result set (twig joins)", stages.back().second,
+              "complete result set (twig joins)", complete_ms,
               result.value().tuples.size(), result.value().twig_count);
 
   // Stage 4: data cube.
@@ -133,9 +129,9 @@ int main(int argc, char** argv) {
     std::printf("cube failed: %s\n", schema.status().ToString().c_str());
     return 1;
   }
-  stages.emplace_back("star_schema", Ms(cube_start));
+  const double cube_ms = Ms(cube_start);
   std::printf("%-42s %8.1f ms  (%zu fact rows, %zu dims)\n",
-              "star schema generation", stages.back().second,
+              "star schema generation", cube_ms,
               schema.value().fact_tables[0].rows.size(),
               schema.value().dimension_tables.size());
 
@@ -146,39 +142,10 @@ int main(int argc, char** argv) {
                                     seda::olap::AggFn::kAvg,
                                     "import-trade-percentage");
   if (!rollup.ok()) return 1;
-  stages.emplace_back("olap_rollup", Ms(olap_start));
+  const double olap_ms = Ms(olap_start);
   std::printf("%-42s %8.1f ms  (%zu cuboids)\n", "OLAP rollup",
-              stages.back().second, rollup.value().size());
+              olap_ms, rollup.value().size());
 
-  // Machine-readable emission for the perf trajectory (CI smoke step).
-  const seda::topk::SearchStats& stats = response.value().stats;
-  if (FILE* json = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"fig6_pipeline\",\n  \"scale\": %.4f,\n"
-                 "  \"documents\": %zu,\n  \"stages_ms\": {",
-                 scale, snap->store().DocumentCount());
-    for (size_t i = 0; i < stages.size(); ++i) {
-      std::fprintf(json, "%s\"%s\": %.4f", i == 0 ? "" : ", ",
-                   stages[i].first.c_str(), stages[i].second);
-    }
-    double search_ms = 0;
-    for (const auto& [name, ms] : stages) {
-      if (name == "search" || name == "refined_search") search_ms += ms;
-    }
-    std::fprintf(
-        json,
-        "},\n  \"search_qps\": %.2f,\n  \"docs_scored\": %llu,\n"
-        "  \"tuples_scored\": %llu,\n  \"early_terminated\": %s,\n"
-        "  \"postings_advanced\": %llu,\n  \"heap_evictions\": %llu\n}\n",
-        search_ms > 0 ? 2000.0 / search_ms : 0.0,
-        static_cast<unsigned long long>(stats.docs_scored),
-        static_cast<unsigned long long>(stats.tuples_scored),
-        stats.early_terminated ? "true" : "false",
-        static_cast<unsigned long long>(stats.postings_advanced),
-        static_cast<unsigned long long>(stats.heap_evictions));
-    std::fclose(json);
-    std::printf("wrote %s\n", out_path.c_str());
-  }
   std::printf("\nprecise data, ready for analysis: YES\n");
   return 0;
 }

@@ -41,10 +41,10 @@ struct ServiceOptions {
   size_t topk_shards = 1;
   /// Per-request span collection (obs/trace.h). On (the default), every
   /// request opens a span tree — two steady_clock reads per span, gated to
-  /// <3% throughput overhead by bench_obs. The tree is shipped back only
-  /// when the envelope says "trace":true; slow/sampled requests retain it in
-  /// the slow-query log. Off = requests run with a disabled Trace (the
-  /// null-pointer fast path the bench compares against).
+  /// at most 10% throughput overhead by bench_gates. The tree is shipped
+  /// back only when the envelope says "trace":true; slow/sampled requests
+  /// retain it in the slow-query log. Off = requests run with a disabled
+  /// Trace (the null-pointer fast path the gate compares against).
   bool tracing = true;
   /// Slow-query sampling knob, compiled in but disabled by default: when
   /// N > 0 every Nth request (across methods) lands in the slow log with

@@ -78,7 +78,7 @@ Status Seda::Finalize(const SedaOptions& options) {
   }
   options_ = options;
   CommitInfo info;
-  return CommitInternal(/*force_full_rebuild=*/true, &info);
+  return CommitInternal(&info);
 }
 
 Status Seda::Open(const std::string& path) {
@@ -118,22 +118,22 @@ Status Seda::Save(const std::string& path) const {
   return snap->Save(path);
 }
 
-Result<Seda::CommitInfo> Seda::Commit(const CommitOptions& options) {
+Result<Seda::CommitInfo> Seda::Commit() {
   if (!finalized()) {
     return Status::FailedPrecondition(
         "call Finalize() first — it performs the first commit and fixes the "
         "SedaOptions");
   }
   CommitInfo info;
-  SEDA_RETURN_IF_ERROR(CommitInternal(options.force_full_rebuild, &info));
+  SEDA_RETURN_IF_ERROR(CommitInternal(&info));
   return info;
 }
 
-Status Seda::CommitInternal(bool force_full_rebuild, CommitInfo* info) {
+Status Seda::CommitInternal(CommitInfo* info) {
   std::shared_ptr<const Snapshot> base = snapshot();
   size_t base_docs = base != nullptr ? base->store().DocumentCount() : 0;
 
-  if (base != nullptr && !force_full_rebuild && pending_docs_.empty() &&
+  if (base != nullptr && pending_docs_.empty() &&
       store_->DocumentCount() == base_docs) {
     // Nothing new: the published epoch already serves exactly this state.
     // Checked before any pool spawns, so a polling Commit() really is cheap.
@@ -159,16 +159,15 @@ Status Seda::CommitInternal(bool force_full_rebuild, CommitInfo* info) {
   // Stages 2-4 run inside Snapshot::Build, off to the side of the published
   // epoch: readers keep querying `base` undisturbed until the single atomic
   // swap below.
-  const Snapshot* base_ptr = force_full_rebuild ? nullptr : base.get();
   std::shared_ptr<const Snapshot> next =
-      Snapshot::Build(store_->Clone(), options_, next_epoch_, base_ptr,
+      Snapshot::Build(store_->Clone(), options_, next_epoch_, base.get(),
                       pool.get(), query_pool_);
   ++next_epoch_;
 
   info->epoch = next->epoch();
   info->docs_total = store_->DocumentCount();
   info->docs_added = info->docs_total - base_docs;
-  info->incremental = base_ptr != nullptr;
+  info->incremental = base != nullptr;
 
   snapshot_.store(std::move(next), std::memory_order_release);
   return Status::OK();

@@ -84,14 +84,7 @@ class Seda {
   /// Commit() simply determines which epoch gets saved.
   Status Save(const std::string& path) const;
 
-  struct CommitOptions {
-    /// Rebuild the inverted index and dataguide summary from scratch instead
-    /// of extending the previous epoch (results are identical either way;
-    /// this is the ablation/bench knob).
-    bool force_full_rebuild = false;
-  };
-
-  /// What a Commit() did, for logging and the commit-latency bench.
+  /// What a Commit() did, for logging and tests.
   struct CommitInfo {
     uint64_t epoch = 0;      ///< epoch now being served
     size_t docs_added = 0;   ///< documents new in this epoch
@@ -105,8 +98,7 @@ class Seda {
   /// With nothing staged this is a cheap no-op returning the current epoch.
   /// Requires Finalize() first (it is the first commit and fixes the
   /// options).
-  Result<CommitInfo> Commit(const CommitOptions& options);
-  Result<CommitInfo> Commit() { return Commit(CommitOptions{}); }
+  Result<CommitInfo> Commit();
 
   bool finalized() const { return snapshot() != nullptr; }
 
@@ -137,8 +129,9 @@ class Seda {
 
   /// The commit pipeline shared by Finalize() and Commit(): ingests pending
   /// documents, builds the next Snapshot off to the side (incrementally over
-  /// `base` unless forced full) and publishes it.
-  Status CommitInternal(bool force_full_rebuild, CommitInfo* info);
+  /// the served epoch when there is one, cold at Finalize()) and publishes
+  /// it.
+  Status CommitInternal(CommitInfo* info);
 
   std::vector<PendingDocument> pending_docs_;
   /// Staging-store size when the first pending document was queued; AddXml()

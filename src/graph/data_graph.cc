@@ -394,9 +394,13 @@ std::optional<size_t> DataGraph::ConnectionSize(
       for (size_t j = 0; j < representatives.size(); ++j) {
         if (!connected[j]) continue;
         if (representatives[i].doc == representatives[j].doc) {
-          // Same-document cost already accounted by the subtree term.
-          best_cost = std::min(best_cost, static_cast<size_t>(0));
-          best_index = std::min(best_index, i);
+          // Same-document cost already accounted by the subtree term. The
+          // first such node wins; it must not take over the index of a
+          // node of another document that holds a paid cost.
+          if (best_cost > 0) {
+            best_cost = 0;
+            best_index = i;
+          }
           continue;
         }
         auto len = ShortestPathLength(representatives[j], representatives[i],

@@ -1,12 +1,18 @@
 #include "persist/writer.h"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <filesystem>
+#include <optional>
+#include <string_view>
+#include <system_error>
 
 namespace seda::persist {
 
@@ -16,17 +22,65 @@ uint64_t AlignUp(uint64_t offset) {
   return (offset + kSectionAlignment - 1) & ~(uint64_t{kSectionAlignment} - 1);
 }
 
+std::string DirectoryOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? "."
+         : slash == 0               ? "/"
+                                    : path.substr(0, slash);
+}
+
 /// Flushes the directory holding `path`, so a rename into it is durable.
 bool SyncDirectoryOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "."
-                          : slash == 0               ? "/"
-                                                     : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const int fd =
+      ::open(DirectoryOf(path).c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return false;
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
+}
+
+/// Parses a decimal number as std::to_string writes it (no sign, no leading
+/// zero); nullopt for anything else.
+std::optional<uint64_t> ParseDecimal(std::string_view digits) {
+  if (digits.empty() || digits.size() > 19 ||
+      (digits.size() > 1 && digits.front() == '0')) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+  }
+  return value;
+}
+
+/// Removes the temporary files that writers killed mid-save left beside
+/// `path`: names of exactly the form Open() creates, `<name>.tmp.<pid>.<n>`,
+/// whose pid no longer exists (kill(pid, 0) fails with ESRCH). A live
+/// writer's file, and this process's own, are never touched.
+void RemoveStaleTemps(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string prefix =
+      (slash == std::string::npos ? path : path.substr(slash + 1)) + ".tmp.";
+  const auto self = static_cast<uint64_t>(::getpid());
+  std::error_code error;
+  std::filesystem::directory_iterator it(DirectoryOf(path), error);
+  for (; !error && it != std::filesystem::directory_iterator();
+       it.increment(error)) {
+    const std::string name = it->path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    const std::string_view rest = std::string_view(name).substr(prefix.size());
+    const size_t dot = rest.find('.');
+    if (dot == std::string_view::npos) continue;
+    const std::optional<uint64_t> pid = ParseDecimal(rest.substr(0, dot));
+    if (!pid || !ParseDecimal(rest.substr(dot + 1)) || *pid == 0 ||
+        *pid == self || *pid > static_cast<uint64_t>(INT_MAX)) {
+      continue;
+    }
+    if (::kill(static_cast<pid_t>(*pid), 0) == 0 || errno != ESRCH) continue;
+    std::error_code ignored;
+    std::filesystem::remove(it->path(), ignored);
+  }
 }
 
 }  // namespace
@@ -44,9 +98,10 @@ Status ImageWriter::Open(const std::string& path) {
   if (file_ != nullptr) {
     return Status::FailedPrecondition("ImageWriter already open");
   }
+  RemoveStaleTemps(path);
   // A fresh name beside the target (same file system, so Finish() can
   // rename it into place): the pid and a per-process counter, with O_EXCL
-  // stepping past any leftover of a crashed writer.
+  // stepping past any leftover of a writer whose pid is in use again.
   static std::atomic<uint64_t> counter{0};
   int fd = -1;
   for (int attempt = 0; attempt < 16 && fd < 0; ++attempt) {

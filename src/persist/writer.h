@@ -30,7 +30,9 @@ namespace seda::persist {
 /// target always holds either its old image or the complete new one — a
 /// crash, a failed write or a writer destroyed before Finish() leaves it
 /// untouched (the temporary file is removed) — and a process that has the
-/// old image mapped keeps reading the old bytes.
+/// old image mapped keeps reading the old bytes. A writer killed before it
+/// could remove its temporary file leaves it behind; the next Open() of the
+/// same path removes it once that writer's process is gone.
 class ImageWriter {
  public:
   ImageWriter() = default;
@@ -38,7 +40,8 @@ class ImageWriter {
   ImageWriter(const ImageWriter&) = delete;
   ImageWriter& operator=(const ImageWriter&) = delete;
 
-  /// Creates the temporary file for `path` and reserves the header slot.
+  /// Removes temporary files of `path` left by dead writers, creates this
+  /// writer's temporary file and reserves the header slot.
   Status Open(const std::string& path);
 
   void BeginSection(SectionId id);

@@ -347,68 +347,116 @@ std::string DeltaDoc(int i) {
          "</country>";
 }
 
+/// Builds the Fig. 3 cube twice (columns on / off), loads both into the OLAP
+/// engine and requires the same cells: the count of
+/// import-trade-percentage per import-country, cell for cell and in total.
+void ExpectOlapCellsIdentical(const core::Snapshot& snap,
+                              const cube::Catalog& catalog,
+                              const twig::CompleteResult& result,
+                              const char* label) {
+  cube::CubeBuilder builder(&snap.store(), &catalog, &snap.columns());
+  cube::CubeBuilder tree_walk(&snap.store(), &catalog, /*columns=*/nullptr);
+  auto with = builder.Build(result);
+  auto without = tree_walk.Build(result);
+  ASSERT_TRUE(with.ok() && without.ok()) << label;
+  auto cube_on = snap.ToOlapCube(with.value());
+  auto cube_off = snap.ToOlapCube(without.value());
+  ASSERT_TRUE(cube_on.ok() && cube_off.ok()) << label;
+  auto cells_on = cube_on->Aggregate({"import-country"}, olap::AggFn::kCount,
+                                     "import-trade-percentage");
+  auto cells_off = cube_off->Aggregate({"import-country"}, olap::AggFn::kCount,
+                                       "import-trade-percentage");
+  ASSERT_TRUE(cells_on.ok() && cells_off.ok()) << label;
+  EXPECT_EQ(cells_on->ToString(), cells_off->ToString()) << label;
+  EXPECT_EQ(cells_on->Total(), cells_off->Total()) << label;
+  EXPECT_GT(cells_on->Total(), 0.0) << label;
+}
+
 TEST(ColumnCubeTest, RelativeStepsIncrementalEpochsAndReopenedImages) {
   // The Fig. 3 catalog exercises every plan kind: absolute (/country/name,
   // /country/year), self ("."), and the sibling step ("../trade_country").
-  core::Seda writer;
-  data::PopulateScenario(writer.mutable_store());
-  ASSERT_TRUE(writer.Finalize().ok());
-  cube::Catalog catalog = Fig3Catalog();
+  // Inputs: the scenario under Query 1, and a generated Factbook under the
+  // two-term trade query, whose complete result is large enough that a
+  // per-tuple tree walk shows.
+  struct Input {
+    const char* name;
+    void (*populate)(store::DocumentStore*);
+    const char* query;
+    std::vector<std::string> contexts;
+  };
+  const Input inputs[] = {
+      {"scenario", [](store::DocumentStore* s) { data::PopulateScenario(s); },
+       R"((*, "United States") AND (trade_country, *) AND (percentage, *))",
+       {kName, kTrade, kPct}},
+      {"factbook 0.05",
+       [](store::DocumentStore* s) {
+         data::WorldFactbookGenerator::Options o;
+         o.scale = 0.05;
+         data::WorldFactbookGenerator(o).Populate(s);
+       },
+       "(trade_country, *) AND (percentage, *)", {kTrade, kPct}},
+  };
+  const cube::Catalog catalog = Fig3Catalog();
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    core::Seda writer;
+    input.populate(writer.mutable_store());
+    ASSERT_TRUE(writer.Finalize().ok());
+    auto query = query::ParseQuery(input.query);
+    ASSERT_TRUE(query.ok());
+    auto result =
+        writer.snapshot()->CompleteResults(query.value(), input.contexts, {});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    {
+      auto snap = writer.snapshot();
+      uint64_t scanned =
+          ExpectCubeByteIdentical(*snap, catalog, result.value(), "epoch1");
+      EXPECT_GT(scanned, 0u);
+      ExpectOlapCellsIdentical(*snap, catalog, result.value(), "epoch1");
+    }
 
-  auto query = query::ParseQuery(
-      R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
-  ASSERT_TRUE(query.ok());
-  auto result =
-      writer.snapshot()->CompleteResults(query.value(), {kName, kTrade, kPct},
-                                        {});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  {
-    auto snap = writer.snapshot();
-    uint64_t scanned =
-        ExpectCubeByteIdentical(*snap, catalog, result.value(), "epoch1");
-    EXPECT_GT(scanned, 0u);
-  }
+    // Incremental commit: columns are rebuilt for the new epoch and the
+    // identity must hold over the grown corpus.
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          writer.AddXml(DeltaDoc(i), "delta-" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(writer.Commit().ok());
+    auto grown =
+        writer.snapshot()->CompleteResults(query.value(), input.contexts, {});
+    ASSERT_TRUE(grown.ok());
+    {
+      auto snap = writer.snapshot();
+      ExpectCubeByteIdentical(*snap, catalog, grown.value(), "epoch2");
+      ExpectOlapCellsIdentical(*snap, catalog, grown.value(), "epoch2");
+    }
 
-  // Incremental commit: columns are rebuilt for the new epoch and the
-  // identity must hold over the grown corpus.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(writer.AddXml(DeltaDoc(i), "delta-" + std::to_string(i)).ok());
+    // Reopened image: the zero-copy loaded columns must give the same bytes
+    // as both the reopened tree walk and the in-memory epoch.
+    std::string path = TempImagePath("reopen");
+    ASSERT_TRUE(writer.Save(path).ok());
+    core::Seda reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    EXPECT_EQ(reader.snapshot()->columns().size(),
+              writer.snapshot()->columns().size());
+    auto reopened =
+        reader.snapshot()->CompleteResults(query.value(), input.contexts, {});
+    ASSERT_TRUE(reopened.ok());
+    {
+      auto snap = reader.snapshot();
+      ExpectCubeByteIdentical(*snap, catalog, reopened.value(), "reopened");
+      ExpectOlapCellsIdentical(*snap, catalog, reopened.value(), "reopened");
+      cube::CubeBuilder in_memory(&writer.snapshot()->store(), &catalog,
+                                  &writer.snapshot()->columns());
+      cube::CubeBuilder from_image(&snap->store(), &catalog, &snap->columns());
+      auto a = in_memory.Build(grown.value());
+      auto b = from_image.Build(reopened.value());
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a.value().ToString(), b.value().ToString());
+    }
+    std::remove(path.c_str());
   }
-  ASSERT_TRUE(writer.Commit().ok());
-  auto grown =
-      writer.snapshot()->CompleteResults(query.value(), {kName, kTrade, kPct},
-                                        {});
-  ASSERT_TRUE(grown.ok());
-  {
-    auto snap = writer.snapshot();
-    ExpectCubeByteIdentical(*snap, catalog, grown.value(), "epoch2");
-  }
-
-  // Reopened image: the zero-copy loaded columns must give the same bytes
-  // as both the reopened tree walk and the in-memory epoch.
-  std::string path = TempImagePath("reopen");
-  ASSERT_TRUE(writer.Save(path).ok());
-  core::Seda reader;
-  ASSERT_TRUE(reader.Open(path).ok());
-  EXPECT_EQ(reader.snapshot()->columns().size(),
-            writer.snapshot()->columns().size());
-  auto reopened =
-      reader.snapshot()->CompleteResults(query.value(), {kName, kTrade, kPct},
-                                        {});
-  ASSERT_TRUE(reopened.ok());
-  {
-    auto snap = reader.snapshot();
-    ExpectCubeByteIdentical(*snap, catalog, reopened.value(), "reopened");
-    cube::CubeBuilder in_memory(&writer.snapshot()->store(), &catalog,
-                                &writer.snapshot()->columns());
-    cube::CubeBuilder from_image(&snap->store(), &catalog, &snap->columns());
-    auto a = in_memory.Build(grown.value());
-    auto b = from_image.Build(reopened.value());
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value().ToString(), b.value().ToString());
-  }
-  std::remove(path.c_str());
 }
 
 // --- Persistence: stability, section/options agreement, corruption -----

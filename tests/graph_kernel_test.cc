@@ -14,10 +14,15 @@
 #include "data/generators.h"
 #include "graph/csr.h"
 #include "graph/data_graph.h"
+#include "graph_kernels_golden.h"
 #include "persist/reader.h"
 #include "persist/writer.h"
+#include "query/query.h"
 #include "reference/bfs.h"
+#include "reference/topk_oracle.h"
 #include "store/document_store.h"
+#include "text/inverted_index.h"
+#include "topk/topk.h"
 
 namespace seda::graph {
 namespace {
@@ -88,7 +93,7 @@ Corpus MakeHub(int satellites) {
                     ->AddXml("<country><name>Satellite " + std::to_string(i) +
                                  "</name><economy><import_partners><item>"
                                  "<trade_country>United States</trade_country>"
-                                 "<percentage>" + std::to_string(10 + i) +
+                                 "<percentage>" + std::to_string(10 + i % 80) +
                                  ".5</percentage></item></import_partners>"
                                  "</economy></country>",
                              "satellite-" + std::to_string(i))
@@ -415,6 +420,89 @@ TEST(KernelEquivalenceTest, AutoAnswersWithinTwoAreBudgetIndependent) {
       }
     }
   });
+}
+
+TEST(KernelEquivalenceTest, SameDocumentNodeDoesNotConnectAnotherForFree) {
+  // (item@1, trade_country@2, percentage@1): item and percentage share
+  // satellite 1's item subtree (1 edge); trade_country@2 reaches it through
+  // the hub, trade_country@2 -> US name -> trade_country@1 -> item@1 (3
+  // edges). Connecting percentage@1 at cost 0 must not also connect
+  // trade_country@2, which an earlier scan of the greedy loop priced at 3.
+  Corpus c = MakeHub(2);
+  ASSERT_TRUE(c.graph->BuildCsr());
+  const std::vector<store::NodeId> tuple = {
+      {1, xml::DeweyId::Parse("1.2.1.1")},
+      {2, xml::DeweyId::Parse("1.2.1.1.1")},
+      {1, xml::DeweyId::Parse("1.2.1.1.2")}};
+  EXPECT_EQ(c.graph->ConnectionSize(tuple), std::optional<size_t>(1 + 3));
+  EXPECT_EQ(ReferenceGraph(*c.graph).ConnectionSize(tuple),
+            std::optional<size_t>(1 + 3));
+}
+
+/// Byte-exact rendering of everything a caller observes in a ranking: node
+/// identities, the connection size and the exact score bits (%a).
+std::string RankingFingerprint(const std::vector<topk::ScoredTuple>& tuples) {
+  std::string fp;
+  char buf[64];
+  for (const auto& tuple : tuples) {
+    for (const auto& match : tuple.nodes) {
+      fp += std::to_string(match.node.doc) + ':' + match.node.dewey.ToString() +
+            ' ';
+    }
+    std::snprintf(buf, sizeof(buf), "c=%a n=%zu s=%a\n", tuple.content_score,
+                  tuple.connection_size, tuple.score);
+    fp += buf;
+  }
+  return fp;
+}
+
+TEST(KernelEquivalenceTest, CliffQueryRankingMatchesTheGoldenUnderAnyBudget) {
+  // The hub cliff at full size: 200 satellites all link to the US name node.
+  Corpus c = MakeHub(200);
+  ASSERT_TRUE(c.graph->BuildCsr());
+  text::InvertedIndex index(c.store.get());
+  topk::TopKSearcher searcher(&index, c.graph.get());
+  auto query = query::ParseQuery(
+      R"((*, "United States") AND (trade_country, *) AND (percentage, *))");
+  ASSERT_TRUE(query.ok());
+  topk::TopKOptions options;
+  options.k = 5;
+  options.max_per_doc_per_term = 4;
+  options.max_hub_degree = 0;  // uncapped: exercise the hub
+  // The tuple budget trims in TA order before any kernel runs; the golden
+  // ranking was captured under the same budget.
+  options.max_tuples_per_query = 1000;
+  options.max_connect_visits = 0;
+  auto budget_off = searcher.Search(query.value(), options);
+  ASSERT_TRUE(budget_off.ok());
+  EXPECT_EQ(RankingFingerprint(budget_off.value()), kGoldenCliffRanking);
+
+  // Every answer within 2 hub hops is budget-independent.
+  options.max_connect_visits = 64;
+  auto budget_on = searcher.Search(query.value(), options);
+  ASSERT_TRUE(budget_on.ok());
+  EXPECT_EQ(RankingFingerprint(budget_on.value()),
+            RankingFingerprint(budget_off.value()));
+
+  // Each row is the oracle's score of the same nodes, bit for bit, with the
+  // content scores taken from the oracle's own candidates.
+  ReferenceGraph ref(*c.graph);
+  reference::TopKOracle oracle(index, ref);
+  const auto candidates = oracle.Candidates(query.value());
+  for (const topk::ScoredTuple& tuple : budget_off.value()) {
+    std::vector<text::NodeMatch> nodes;
+    for (size_t t = 0; t < tuple.nodes.size(); ++t) {
+      auto found = std::find_if(candidates[t].begin(), candidates[t].end(),
+                                [&](const text::NodeMatch& m) {
+                                  return m.node == tuple.nodes[t].node;
+                                });
+      ASSERT_NE(found, candidates[t].end()) << tuple.ToString(*c.store);
+      nodes.push_back(*found);
+    }
+    auto scored = oracle.Score(nodes, options.max_connect_depth);
+    ASSERT_TRUE(scored.has_value()) << tuple.ToString(*c.store);
+    EXPECT_EQ(RankingFingerprint({*scored}), RankingFingerprint({tuple}));
+  }
 }
 
 TEST(KernelCounterTest, CountersFireOnTheHubCorpus) {

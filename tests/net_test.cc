@@ -97,11 +97,28 @@ core::Seda* SharedSeda() {
 constexpr const char* kSearchEnvelope =
     R"json({"method":"search","query":"(name, *) AND (*, china)","k":5})json";
 
+/// A generated Factbook (scale 0.05, default options) for the sharding
+/// equivalence check: enough documents that 3 top-k shards each hold some.
+core::Seda* FactbookSeda() {
+  static core::Seda* seda = [] {
+    auto* built = new core::Seda();
+    data::WorldFactbookGenerator::Options options;
+    options.scale = 0.05;
+    data::WorldFactbookGenerator(options).Populate(built->mutable_store());
+    if (!built->Finalize().ok()) return static_cast<core::Seda*>(nullptr);
+    return built;
+  }();
+  return seda;
+}
+
 struct TestServer {
-  explicit TestServer(ServerOptions options = ServerOptions{}) {
+  explicit TestServer(ServerOptions options = ServerOptions{},
+                      core::Seda* seda = SharedSeda(), size_t topk_shards = 1) {
     options.io_threads = 2;
     options.worker_threads = options.worker_threads ? options.worker_threads : 2;
-    service = std::make_unique<api::SedaService>(SharedSeda());
+    api::ServiceOptions service_options;
+    service_options.topk_shards = topk_shards;
+    service = std::make_unique<api::SedaService>(seda, service_options);
     server = std::make_unique<Server>(service.get(), options);
     start_status = server->Start();
   }
@@ -120,33 +137,55 @@ struct TestServer {
 };
 
 /// Search response bytes with the volatile timing field zeroed; everything
-/// else — ranking, summaries, engine counters — must match exactly.
-std::string CanonicalSearchBytes(const std::string& response_json) {
+/// else — ranking, summaries, engine counters — must match exactly. With
+/// `drop_stats` every stats field is cleared: a sharded scan stops each
+/// shard on its own threshold, so only its counters may differ.
+std::string CanonicalSearchBytes(const std::string& response_json,
+                                 bool drop_stats = false) {
   auto decoded = api::DecodeSearchResponseDto(response_json);
   EXPECT_TRUE(decoded.ok()) << response_json;
   api::SearchResponseDto response = std::move(decoded).value();
   response.stats.elapsed_ms = 0;
+  if (drop_stats) response.stats = api::StatsDto{};
   return Encode(response);
 }
 
 TEST(NetServerTest, ResponsesAreByteIdenticalToDirectHandle) {
-  ASSERT_NE(SharedSeda(), nullptr);
-  TestServer fixture;
-  ASSERT_TRUE(fixture.start_status.ok()) << fixture.start_status.ToString();
-  // A second service over the same snapshot plays "in-process caller".
-  api::SedaService direct(SharedSeda());
-  BlockingClient client = fixture.Connect();
-  const char* envelopes[] = {
-      kSearchEnvelope,
-      R"json({"method":"search","query":"(*, pacific)","k":3})json",
-      R"json({"method":"search","query":"(name, china OR canada)"})json",
+  // Each collection is served over TCP unsharded and scattered over 3 top-k
+  // shards; an unsharded in-process service over the same snapshot plays
+  // the direct caller.
+  struct Input {
+    const char* name;
+    core::Seda* seda;
+    std::vector<const char*> envelopes;
   };
-  for (const char* envelope : envelopes) {
-    SCOPED_TRACE(envelope);
-    auto over_wire = client.Call(envelope);
-    ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
-    EXPECT_EQ(CanonicalSearchBytes(over_wire.value()),
-              CanonicalSearchBytes(direct.Handle(envelope)));
+  const Input inputs[] = {
+      {"scenario", SharedSeda(),
+       {kSearchEnvelope,
+        R"json({"method":"search","query":"(*, pacific)","k":3})json",
+        R"json({"method":"search","query":"(name, china OR canada)"})json"}},
+      {"factbook 0.05", FactbookSeda(),
+       {R"json({"method":"search","query":"(*, \"United States\") AND (trade_country, *)","k":10})json",
+        R"json({"method":"search","query":"(trade_country, \"China\") AND (percentage, *)","k":10})json",
+        R"json({"method":"search","query":"(name, *) AND (GDP_ppp, *)","k":10})json",
+        R"json({"method":"search","query":"(*, pacific)","k":10})json"}},
+  };
+  for (const Input& input : inputs) {
+    ASSERT_NE(input.seda, nullptr) << input.name;
+    api::SedaService direct(input.seda);
+    for (size_t shards : {size_t{1}, size_t{3}}) {
+      TestServer fixture(ServerOptions{}, input.seda, shards);
+      ASSERT_TRUE(fixture.start_status.ok()) << fixture.start_status.ToString();
+      BlockingClient client = fixture.Connect();
+      for (const char* envelope : input.envelopes) {
+        SCOPED_TRACE(std::string(input.name) + " shards=" +
+                     std::to_string(shards) + " " + envelope);
+        auto over_wire = client.Call(envelope);
+        ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+        EXPECT_EQ(CanonicalSearchBytes(over_wire.value(), shards > 1),
+                  CanonicalSearchBytes(direct.Handle(envelope), shards > 1));
+      }
+    }
   }
 }
 

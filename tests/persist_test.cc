@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -129,11 +131,16 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(PersistTest, SaveThenOpenServesByteIdenticalResponses) {
+/// Saves `populate` built under `options`, opens the image in a second
+/// instance and requires the same epoch and byte-identical answers.
+void ExpectReopenServesTheBuiltEpoch(void (*populate)(store::DocumentStore*),
+                                     const SedaOptions& options,
+                                     const std::vector<const char*>& queries,
+                                     const std::string& tag) {
   Seda writer;
-  data::PopulateScenario(writer.mutable_store());
-  ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
-  std::string path = TempImagePath("roundtrip");
+  populate(writer.mutable_store());
+  ASSERT_TRUE(writer.Finalize(options).ok());
+  std::string path = TempImagePath(tag);
   ASSERT_TRUE(writer.Save(path).ok());
 
   Seda reader;
@@ -144,19 +151,47 @@ TEST(PersistTest, SaveThenOpenServesByteIdenticalResponses) {
 
   EXPECT_EQ(EpochFingerprint(*writer.snapshot()),
             EpochFingerprint(*reader.snapshot()));
-  for (const char* query :
-       {kQuery1, R"((name, *))", R"((*, "Pacific Ocean") AND (name, *))",
-        R"((GDP, *) AND (name, "United States"))"}) {
+  for (const char* query : queries) {
     auto expected = writer.snapshot()->Search(query);
     auto loaded = reader.snapshot()->Search(query);
     ASSERT_TRUE(expected.ok()) << query;
     ASSERT_TRUE(loaded.ok()) << query;
+    EXPECT_FALSE(loaded->topk.empty()) << query;
     // Epoch included: a loaded epoch is the same epoch, end to end.
     EXPECT_EQ(ResponseFingerprint(expected.value(), writer.snapshot()->store()),
               ResponseFingerprint(loaded.value(), reader.snapshot()->store()))
         << query;
   }
   std::remove(path.c_str());
+}
+
+TEST(PersistTest, SaveThenOpenServesByteIdenticalResponses) {
+  {
+    SCOPED_TRACE("scenario");
+    ExpectReopenServesTheBuiltEpoch(
+        [](store::DocumentStore* s) { data::PopulateScenario(s); },
+        ScenarioOptions(),
+        {kQuery1, R"((name, *))", R"((*, "Pacific Ocean") AND (name, *))",
+         R"((GDP, *) AND (name, "United States"))"},
+        "roundtrip");
+  }
+  {
+    // The served configuration of a generated collection: the value-based
+    // trade_partner edges plus tight top-k budgets, which travel inside the
+    // image, so built and reopened epochs trim identically.
+    SCOPED_TRACE("factbook 0.05");
+    SedaOptions options = ScenarioOptions();
+    options.topk.max_tuples_per_query = 500;
+    options.topk.max_connect_visits = 256;
+    ExpectReopenServesTheBuiltEpoch(
+        [](store::DocumentStore* s) {
+          data::WorldFactbookGenerator::Options generator;
+          generator.scale = 0.05;
+          data::WorldFactbookGenerator(generator).Populate(s);
+        },
+        options, {R"((name, "United States") AND (GDP, *))"},
+        "roundtrip_factbook");
+  }
 }
 
 TEST(PersistTest, RoundTripsAllGeneratorCorpora) {
@@ -335,6 +370,94 @@ TEST(PersistTest, FailedSaveLeavesTheOldImageIntact) {
   ASSERT_TRUE(reader.Open(path).ok());
   EXPECT_EQ(EpochFingerprint(*reader.snapshot()),
             EpochFingerprint(*writer.snapshot()));
+  std::remove(path.c_str());
+}
+
+// kill -9 during a save: the target keeps its old image, and the killed
+// writer's temporary file is swept by the next save once its pid is gone —
+// never while it lives, and never a file of this process.
+TEST(PersistTest, WriterKilledMidSaveLeavesTheImageAndTheNextSaveSweepsIt) {
+  Seda writer;
+  data::PopulateScenario(writer.mutable_store());
+  ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
+  std::string path = TempImagePath("killed_save");
+  ASSERT_TRUE(writer.Save(path).ok());
+  const std::string old_bytes = ReadFile(path);
+  const std::string temp_prefix =
+      path.substr(path.find_last_of('/') + 1) + ".tmp.";
+
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // A save that has written a section and is still running when killed.
+    ::close(ready[0]);
+    persist::ImageWriter partial;
+    bool ok = partial.Open(path).ok();
+    if (ok) {
+      partial.BeginSection(persist::SectionId::kOptions);
+      partial.PutU64(42);
+      ok = partial.EndSection().ok();
+    }
+    const char byte = ok ? 1 : 0;
+    if (::write(ready[1], &byte, 1) != 1) ::_exit(1);
+    for (;;) ::pause();
+  }
+  ::close(ready[1]);
+  char byte = 0;
+  const ssize_t got = ::read(ready[0], &byte, 1);
+  ::close(ready[0]);
+  const std::string child_prefix = temp_prefix + std::to_string(child) + ".";
+  // While the child lives, another writer's Open leaves its file alone.
+  const size_t while_alive = [&] {
+    persist::ImageWriter concurrent;
+    EXPECT_TRUE(concurrent.Open(path).ok());
+    return TempFilesStartingWith(child_prefix).size();
+  }();
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+  ASSERT_EQ(got, 1);
+  ASSERT_EQ(byte, 1);
+  EXPECT_EQ(while_alive, 1u);
+  EXPECT_EQ(ReadFile(path), old_bytes);
+
+  // The old image opens, answers byte-identically and audits clean.
+  Seda reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_EQ(EpochFingerprint(*reader.snapshot()),
+            EpochFingerprint(*writer.snapshot()));
+  for (const char* query : {kQuery1, R"((name, *))"}) {
+    auto expected = writer.snapshot()->Search(query);
+    auto loaded = reader.snapshot()->Search(query);
+    ASSERT_TRUE(expected.ok() && loaded.ok()) << query;
+    EXPECT_EQ(ResponseFingerprint(expected.value(), writer.snapshot()->store()),
+              ResponseFingerprint(loaded.value(), reader.snapshot()->store()))
+        << query;
+  }
+  const audit::AuditReport report = reader.snapshot()->Audit();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  // The next save sweeps the dead writer's file, and only it: a name of
+  // this process and a name not of the writer's form stay.
+  ASSERT_EQ(TempFilesStartingWith(child_prefix).size(), 1u);
+  const std::string dead_file =
+      ::testing::TempDir() + TempFilesStartingWith(child_prefix).front();
+  const std::string own_file =
+      path + ".tmp." + std::to_string(::getpid()) + ".999999";
+  const std::string foreign_file =
+      path + ".tmp." + std::to_string(child) + ".x";
+  WriteFile(own_file, "own");
+  WriteFile(foreign_file, "foreign");
+  ASSERT_TRUE(writer.Save(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(dead_file));
+  EXPECT_EQ(ReadFile(own_file), "own");
+  EXPECT_EQ(ReadFile(foreign_file), "foreign");
+  EXPECT_EQ(ReadFile(path), old_bytes);
+  std::remove(own_file.c_str());
+  std::remove(foreign_file.c_str());
   std::remove(path.c_str());
 }
 

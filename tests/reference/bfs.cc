@@ -155,8 +155,12 @@ std::optional<size_t> ReferenceGraph::ConnectionSize(
       for (size_t j = 0; j < nodes.size(); ++j) {
         if (!connected[j]) continue;
         if (nodes[i].doc == nodes[j].doc) {
-          best_cost = 0;
-          best_index = std::min(best_index, i);
+          // Free: the subtree term already paid for it. Only the first such
+          // node is taken, never an earlier node of another document.
+          if (best_cost > 0) {
+            best_cost = 0;
+            best_index = i;
+          }
           continue;
         }
         auto len = ShortestPathLength(nodes[j], nodes[i], max_depth,

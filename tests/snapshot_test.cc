@@ -84,7 +84,8 @@ std::string EpochFingerprint(const Snapshot& snap) {
     out += "\n";
   }
   for (const char* term :
-       {"united", "states", "new", "trade_country", "percentage", "gdp"}) {
+       {"united", "states", "new", "deltaland", "trade_country", "percentage",
+        "gdp"}) {
     out += std::string("t:") + term;
     out += " df=" + std::to_string(snap.index().DocumentFrequency(term));
     out += " maxtf=" + std::to_string(snap.index().MaxTermFrequency(term));
@@ -133,21 +134,35 @@ TEST(CommitTest, AddXmlAndCommitAfterFinalizeServesNewDocuments) {
   EXPECT_GT(latest.index().DocumentFrequency("2010"), 0u);
 }
 
-TEST(CommitTest, IncrementalCommitIsByteIdenticalToColdBuild) {
-  // Cold: one epoch over the full corpus.
-  Seda cold;
-  data::PopulateScenario(cold.mutable_store());
-  for (int i = 0; i < 5; ++i) {
-    cold.AddXml(EpochTwoCountry(i), "newland-" + std::to_string(i));
-  }
-  ASSERT_TRUE(cold.Finalize(ScenarioOptions()).ok());
+/// A delta document for the Factbook input: a new country importing from
+/// China, which the Factbook probe query below reaches by name.
+std::string DeltalandCountry(int i) {
+  return "<country><name>Deltaland " + std::to_string(i) +
+         "</name><year>2008</year><economy><GDP>" + std::to_string(900 + i) +
+         "</GDP><import_partners><item><trade_country>China</trade_country>"
+         "<percentage>12.5</percentage></item></import_partners></economy>"
+         "</country>";
+}
 
-  // Incremental: same corpus split across two commits.
+/// Builds `populate` + `delta` twice, cold (one epoch) and incremental (the
+/// delta committed onto the base), and requires both to serve the same
+/// epoch and the same non-empty answer to `probe`.
+void ExpectIncrementalMatchesCold(void (*populate)(store::DocumentStore*),
+                                  const SedaOptions& options,
+                                  const std::vector<std::string>& delta,
+                                  const char* probe) {
+  Seda cold;
+  populate(cold.mutable_store());
+  for (size_t i = 0; i < delta.size(); ++i) {
+    ASSERT_TRUE(cold.AddXml(delta[i], "delta-" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(cold.Finalize(options).ok());
+
   Seda inc;
-  data::PopulateScenario(inc.mutable_store());
-  ASSERT_TRUE(inc.Finalize(ScenarioOptions()).ok());
-  for (int i = 0; i < 5; ++i) {
-    inc.AddXml(EpochTwoCountry(i), "newland-" + std::to_string(i));
+  populate(inc.mutable_store());
+  ASSERT_TRUE(inc.Finalize(options).ok());
+  for (size_t i = 0; i < delta.size(); ++i) {
+    ASSERT_TRUE(inc.AddXml(delta[i], "delta-" + std::to_string(i)).ok());
   }
   auto info = inc.Commit();
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -155,10 +170,11 @@ TEST(CommitTest, IncrementalCommitIsByteIdenticalToColdBuild) {
 
   EXPECT_EQ(EpochFingerprint(*cold.snapshot()), EpochFingerprint(*inc.snapshot()));
 
-  auto cold_response = cold.snapshot()->Search(kQuery1);
-  auto inc_response = inc.snapshot()->Search(kQuery1);
+  auto cold_response = cold.snapshot()->Search(probe);
+  auto inc_response = inc.snapshot()->Search(probe);
   ASSERT_TRUE(cold_response.ok());
   ASSERT_TRUE(inc_response.ok());
+  EXPECT_FALSE(inc_response->topk.empty());
   // Epochs differ by construction (1 vs 2); everything observable must not.
   const store::DocumentStore& cold_store = cold.snapshot()->store();
   const store::DocumentStore& inc_store = inc.snapshot()->store();
@@ -168,22 +184,29 @@ TEST(CommitTest, IncrementalCommitIsByteIdenticalToColdBuild) {
   EXPECT_EQ(inc_response->stats.epoch, 2u);
 }
 
-TEST(CommitTest, ForcedFullRebuildMatchesIncrementalEpoch) {
-  Seda seda;
-  data::PopulateScenario(seda.mutable_store());
-  ASSERT_TRUE(seda.Finalize(ScenarioOptions()).ok());
-  for (int i = 0; i < 4; ++i) {
-    seda.AddXml(EpochTwoCountry(i), "newland-" + std::to_string(i));
+TEST(CommitTest, IncrementalCommitIsByteIdenticalToColdBuild) {
+  {
+    SCOPED_TRACE("scenario + 5 documents");
+    std::vector<std::string> delta;
+    for (int i = 0; i < 5; ++i) delta.push_back(EpochTwoCountry(i));
+    ExpectIncrementalMatchesCold(
+        [](store::DocumentStore* s) { data::PopulateScenario(s); },
+        ScenarioOptions(), delta, kQuery1);
   }
-  ASSERT_TRUE(seda.Commit().ok());
-  std::string incremental = EpochFingerprint(*seda.snapshot());
-
-  Seda::CommitOptions full;
-  full.force_full_rebuild = true;
-  auto info = seda.Commit(full);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info->incremental);
-  EXPECT_EQ(EpochFingerprint(*seda.snapshot()), incremental);
+  {
+    // A generated collection with default options: 84 base documents and
+    // an 8-document delta (a twentieth of the base, at least 8).
+    SCOPED_TRACE("factbook 0.05 + 8 documents");
+    std::vector<std::string> delta;
+    for (int i = 0; i < 8; ++i) delta.push_back(DeltalandCountry(i));
+    ExpectIncrementalMatchesCold(
+        [](store::DocumentStore* s) {
+          data::WorldFactbookGenerator::Options options;
+          options.scale = 0.05;
+          data::WorldFactbookGenerator(options).Populate(s);
+        },
+        SedaOptions{}, delta, R"((name, "Deltaland") AND (GDP, *))");
+  }
 }
 
 TEST(CommitTest, EmptyCommitIsANoOp) {

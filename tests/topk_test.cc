@@ -8,6 +8,7 @@
 #include "data/generators.h"
 #include "graph/data_graph.h"
 #include "query/query.h"
+#include "reference/evaluate_nodes.h"
 #include "text/inverted_index.h"
 #include "topk/topk.h"
 
@@ -459,6 +460,105 @@ TEST_F(TupleHeapSemanticsTest, ExactTiesBreakByDocumentOrder) {
   EXPECT_EQ(result.value()[0].nodes[0].node.doc, 1u);
   EXPECT_EQ(result.value()[1].nodes[0].node.doc, 2u);
   EXPECT_EQ(result.value()[2].nodes[0].node.doc, 0u);
+}
+
+// --- NOT / "*" terms stream instead of materializing the node universe ---
+
+/// Universe-sized intermediates the pre-cursor evaluator allocated for an
+/// expression: one per kAll leaf, one per NOT (its complement base), one per
+/// pure-negation conjunction. A lower bound: it also allocated
+/// universe-sized subtraction outputs on top.
+uint64_t UniverseAllocations(const text::TextExpr& e) {
+  using Kind = text::TextExpr::Kind;
+  switch (e.kind) {
+    case Kind::kAll:
+      return 1;
+    case Kind::kTerm:
+    case Kind::kPhrase:
+      return 0;
+    case Kind::kNot:
+      return 1 + UniverseAllocations(*e.children.front());
+    case Kind::kAnd: {
+      uint64_t n = 0;
+      bool have_positive = false;
+      for (const auto& child : e.children) {
+        if (child->kind == Kind::kNot) {
+          n += UniverseAllocations(*child->children.front());
+        } else {
+          have_positive = true;
+          n += UniverseAllocations(*child);
+        }
+      }
+      return n + (have_positive ? 0 : 1);
+    }
+    case Kind::kOr: {
+      uint64_t n = 0;
+      for (const auto& child : e.children) n += UniverseAllocations(*child);
+      return n;
+    }
+  }
+  return 0;
+}
+
+/// The candidate volume the pre-cursor engine materialized for `query`: the
+/// full (uncapped, pre-context-filter) reference-evaluator output per content
+/// term, the context's node occurrences per structure-only term, plus one
+/// universe-sized vector per NOT/kAll intermediate.
+uint64_t OldMaterializedCandidates(const text::InvertedIndex& index,
+                                   const query::Query& query) {
+  uint64_t total = 0;
+  for (const query::QueryTerm& term : query.terms) {
+    if (!term.search || term.search->kind == text::TextExpr::Kind::kAll) {
+      for (store::PathId path :
+           term.context.ResolvePathIds(index.store().paths())) {
+        total += index.NodesWithPath(path).size();
+      }
+      continue;
+    }
+    total += reference::EvaluateNodes(index, *term.search).size();
+    total += UniverseAllocations(*term.search) * index.IndexedNodeCount();
+  }
+  return total;
+}
+
+TEST(UniverseBoundTest, NotAndStarQueriesAdvanceFewerPostingsThanTheOldEngine) {
+  store::DocumentStore store;
+  data::WorldFactbookGenerator::Options options;
+  options.scale = 0.05;
+  data::WorldFactbookGenerator(options).Populate(&store);
+  graph::DataGraph graph(&store);
+  ASSERT_TRUE(graph.BuildCsr());
+  text::InvertedIndex index(&store);
+  TopKSearcher searcher(&index, &graph);
+
+  struct Panel {
+    const char* text;
+    /// The old engine materialized a node universe for it (a NOT term or
+    /// an unrestricted "*" term).
+    bool universe_bound;
+  };
+  const Panel panel[] = {
+      {R"((*, "United States") AND (trade_country, *) AND (percentage, *))",
+       false},
+      {R"((name, "China") AND (GDP, *))", false},
+      {"(trade_country, *) AND (percentage, *)", false},
+      {R"((*, NOT china) AND (name, *))", true},
+      {R"((name, NOT "united states") AND (GDP, *))", true},
+      {R"((*, "Canada"))", false},
+  };
+  for (const Panel& entry : panel) {
+    SCOPED_TRACE(entry.text);
+    auto query = query::ParseQuery(entry.text);
+    ASSERT_TRUE(query.ok());
+    TopKOptions topk_options;
+    topk_options.k = 10;
+    SearchStats stats;
+    auto result = searcher.Search(query.value(), topk_options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (!entry.universe_bound) continue;
+    EXPECT_LT(stats.postings_advanced,
+              OldMaterializedCandidates(index, query.value()));
+  }
 }
 
 }  // namespace
