@@ -14,16 +14,14 @@ double ElapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// Layers a request's overrides (top-k, deadline), the service's serving
-/// mode (shard count) and the request's trace over the snapshot's configured
-/// engine options.
+/// Layers a request's overrides (top-k, deadline) and its trace over the
+/// snapshot's configured engine options.
 topk::TopKOptions RequestTopKOptions(const core::Snapshot& snapshot, uint64_t k,
-                                     uint64_t deadline_ms, size_t shards,
+                                     uint64_t deadline_ms,
                                      obs::TraceSpan* trace) {
   topk::TopKOptions options = snapshot.options().topk;
   if (k > 0) options.k = static_cast<size_t>(k);
   options.deadline_ms = deadline_ms;
-  options.shard_count = shards > 1 ? shards : 0;
   options.trace = trace;
   return options;
 }
@@ -51,18 +49,16 @@ struct EngineCounterSpec {
   const char* help;
   uint64_t StatsDto::*field;
 };
-#define SEDA_COUNTER_ROW_Copy(field, metric, help) \
+#define SEDA_COUNTER_ROW_Count(field, metric, help) \
   {metric, help, &StatsDto::field},
-#define SEDA_COUNTER_ROW_Sum SEDA_COUNTER_ROW_Copy
-#define SEDA_COUNTER_ROW_Any(field, metric, help)
-#define SEDA_COUNTER_ROW(field, merge, metric, help) \
-  SEDA_COUNTER_ROW_##merge(field, metric, help)
+#define SEDA_COUNTER_ROW_Flag(field, metric, help)
+#define SEDA_COUNTER_ROW(field, type, metric, help) \
+  SEDA_COUNTER_ROW_##type(field, metric, help)
 constexpr EngineCounterSpec kEngineCounters[] = {
     SEDA_ENGINE_COUNTERS(SEDA_COUNTER_ROW)};
 #undef SEDA_COUNTER_ROW
-#undef SEDA_COUNTER_ROW_Any
-#undef SEDA_COUNTER_ROW_Sum
-#undef SEDA_COUNTER_ROW_Copy
+#undef SEDA_COUNTER_ROW_Flag
+#undef SEDA_COUNTER_ROW_Count
 constexpr size_t kEngineCounterCount = std::size(kEngineCounters);
 
 uint64_t NowUnixMs() {
@@ -79,7 +75,7 @@ StatsDto MakeStats(const topk::SearchStats& stats, double elapsed_ms,
   dto.elapsed_ms = elapsed_ms;
   dto.deadline_ms = deadline_ms;
   dto.deadline_exceeded = stats.deadline_exceeded;
-#define SEDA_COPY_COUNTER(field, merge, metric, help) dto.field = stats.field;
+#define SEDA_COPY_COUNTER(field, type, metric, help) dto.field = stats.field;
   SEDA_ENGINE_COUNTERS(SEDA_COPY_COUNTER)
 #undef SEDA_COPY_COUNTER
   return dto;
@@ -371,8 +367,7 @@ SearchResponseDto SedaService::DoSearch(const SearchRequest& request,
     }
     auto result = session->Search(
         request.query,
-        RequestTopKOptions(session->snapshot(), request.k, deadline_ms,
-                           options_.topk_shards, root));
+        RequestTopKOptions(session->snapshot(), request.k, deadline_ms, root));
     if (!result.ok()) {
       response.status = WireStatus::FromStatus(result.status());
       return response;
@@ -393,7 +388,7 @@ SearchResponseDto SedaService::DoSearch(const SearchRequest& request,
   auto result = state.session.Search(
       request.query,
       RequestTopKOptions(state.session.snapshot(), request.k, deadline_ms,
-                         options_.topk_shards, root));
+                         root));
   if (!result.ok()) {
     response.status = WireStatus::FromStatus(result.status());
     return response;
@@ -419,7 +414,7 @@ SearchResponseDto SedaService::DoRefine(const RefineRequest& request,
   auto result = state.session.RefineContexts(
       request.chosen_paths,
       RequestTopKOptions(state.session.snapshot(), request.k, deadline_ms,
-                         options_.topk_shards, root));
+                         root));
   if (!result.ok()) {
     response.status = WireStatus::FromStatus(result.status());
     return response;

@@ -32,13 +32,6 @@ struct ServiceOptions {
   uint64_t session_ttl_ms = 15 * 60 * 1000;
   /// Applied when a request carries deadline_ms == 0. 0 = no deadline.
   uint64_t default_deadline_ms = 0;
-  /// Shard-by-DocId scatter-gather for every search/refine request: with
-  /// N > 1, the TA scan fans out into N per-shard scans over the snapshot's
-  /// thread pool and the merged ranking is byte-identical to the unsharded
-  /// one (see topk::TopKOptions::shard_count for the exactness argument and
-  /// budget caveat). 0/1 = unsharded. This is a serving-mode knob — the
-  /// seda_server --shards flag lands here.
-  size_t topk_shards = 1;
   /// Per-request span collection (obs/trace.h). On (the default), every
   /// request opens a span tree — two steady_clock reads per span, gated to
   /// at most 10% throughput overhead by bench_gates. The tree is shipped

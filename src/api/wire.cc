@@ -549,7 +549,7 @@ constexpr auto FieldsOf(const WireStatus*) {
                     Field("message", &WireStatus::message));
 }
 
-#define SEDA_COUNTER_FIELD(field, merge, metric, help) \
+#define SEDA_COUNTER_FIELD(field, type, metric, help) \
   , Field(#field, &StatsDto::field)
 constexpr auto FieldsOf(const StatsDto*) {
   return std::tuple(Field("epoch", &StatsDto::epoch),

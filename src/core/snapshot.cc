@@ -5,15 +5,6 @@
 
 namespace seda::core {
 
-namespace {
-
-// Per-kind shard merges for Snapshot::Search's sharded scan.
-void MergeShardCopy(uint64_t*, uint64_t) {}
-void MergeShardSum(uint64_t* into, uint64_t shard) { *into += shard; }
-void MergeShardAny(bool* into, bool shard) { *into = *into || shard; }
-
-}  // namespace
-
 audit::AuditReport Snapshot::Audit() const {
   return audit::SnapshotAuditor(store_.get(), index_.get(), graph_.get(),
                                 guides_.get(), columns_.get())
@@ -253,54 +244,13 @@ Result<SearchResponse> Snapshot::Search(
   candidates_span.End();
 
   obs::ScopedSpan topk_span(topk_options.trace, "topk");
-  if (topk_options.shard_count > 1) {
-    // Shard-by-DocId scatter-gather (the src/net/ serving mode): every shard
-    // scans the same shared candidate set but scores only its own DocIds,
-    // the scans fan out one-per-worker (each scoring inline — ParallelFor
-    // must not nest), and the merged ranking is byte-identical to the
-    // unsharded scan as long as no per-shard budget fires (see
-    // topk::TopKOptions::shard_count).
-    const size_t shards = topk_options.shard_count;
-    std::vector<std::vector<topk::ScoredTuple>> shard_topk(shards);
-    std::vector<topk::SearchStats> shard_stats(shards);
-    std::vector<Status> shard_status(shards);
-    topk_span.AddCounter("shards", shards);
-    RunParallel(query_pool_.get(), shards, [&](size_t s) {
-      topk::TopKOptions shard_options = topk_options;
-      shard_options.shard_index = s;
-      // Traces are single-threaded: the fan-out must not open spans from
-      // worker threads, so shards scan untraced under the one "topk" span.
-      shard_options.trace = nullptr;
-      auto result =
-          searcher_->Search(query, shard_options, candidates, &shard_stats[s]);
-      if (result.ok()) {
-        shard_topk[s] = std::move(result).value();
-      } else {
-        shard_status[s] = result.status();
-      }
-    });
-    for (const Status& status : shard_status) SEDA_RETURN_IF_ERROR(status);
-    response.topk = topk::MergeShardTopK(std::move(shard_topk), topk_options.k);
-    // Fold the shards' stats as each counter's merge kind says
-    // (topk/engine_counters.h): copies of shard 0's, sums, or any-of.
-    response.stats = shard_stats[0];
-    for (size_t s = 1; s < shards; ++s) {
-      const topk::SearchStats& stats = shard_stats[s];
-#define SEDA_MERGE_SHARD(field, merge, metric, help) \
-  MergeShard##merge(&response.stats.field, stats.field);
-      SEDA_ENGINE_COUNTERS(SEDA_MERGE_SHARD)
-#undef SEDA_MERGE_SHARD
-      response.stats.deadline_exceeded |= stats.deadline_exceeded;
-    }
-  } else {
-    // The searcher nests its own group_docs/ta_scan spans under "topk".
-    topk::TopKOptions traced_options = topk_options;
-    traced_options.trace = topk_span.get();
-    auto topk_result =
-        searcher_->Search(query, traced_options, candidates, &response.stats);
-    if (!topk_result.ok()) return topk_result.status();
-    response.topk = std::move(topk_result).value();
-  }
+  // The searcher nests its own group_docs/ta_scan spans under "topk".
+  topk::TopKOptions traced_options = topk_options;
+  traced_options.trace = topk_span.get();
+  auto topk_result =
+      searcher_->Search(query, traced_options, candidates, &response.stats);
+  if (!topk_result.ok()) return topk_result.status();
+  response.topk = std::move(topk_result).value();
   topk_span.End();
   response.stats.epoch = epoch_;
 

@@ -35,7 +35,8 @@ struct SearchResponse {
 };
 
 /// The most threads an image's options may ask for (num_threads,
-/// query_threads); ReadSedaOptions rejects a larger count.
+/// query_threads); ReadSedaOptions rejects a larger count, and so does
+/// net::Server::Start for its io and worker threads.
 inline constexpr size_t kMaxThreadCount = 1024;
 
 /// Configuration of a Seda instance, fixed by the first commit (Finalize())

@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "core/snapshot.h"
 #include "obs/metrics.h"
 
 namespace seda::net {
@@ -83,6 +84,14 @@ Server::~Server() { Stop(); }
 Status Server::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_) return Status::FailedPrecondition("server already started");
+  // Both counts come straight from seda_server flags: a typo must not spawn
+  // millions of threads.
+  if (options_.io_threads > core::kMaxThreadCount ||
+      options_.worker_threads > core::kMaxThreadCount) {
+    return Status::InvalidArgument("server options ask for more than " +
+                                   std::to_string(core::kMaxThreadCount) +
+                                   " threads");
+  }
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return Errno("socket");

@@ -29,9 +29,11 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral (the kernel picks; read back via port()).
   uint16_t port = 0;
-  /// epoll reactor threads; connections are pinned round-robin.
+  /// epoll reactor threads; connections are pinned round-robin. Start()
+  /// rejects more than core::kMaxThreadCount.
   size_t io_threads = 1;
   /// Threads executing SedaService::Handle. 0 = hardware_concurrency.
+  /// Start() rejects more than core::kMaxThreadCount.
   size_t worker_threads = 0;
   /// Bounded work queue between IO and workers; a full queue sheds with an
   /// `overloaded` frame instead of building unbounded backlog.

@@ -41,8 +41,8 @@ class Trace;
 ///
 /// Threading contract: a trace is single-threaded. Spans must only be
 /// opened, annotated and closed on the request's coordinating thread —
-/// fan-out work (RunParallel shard scans, scoring batches) must NOT touch
-/// the trace; it reports back through counters attached by the coordinator.
+/// fan-out work (the RunParallel scoring batches) must NOT touch the trace;
+/// it reports back through counters attached by the coordinator.
 class TraceSpan {
  public:
   /// Opens a child span. `name` must be a string literal (stored as a

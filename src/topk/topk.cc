@@ -20,13 +20,8 @@ double Compactness(size_t connection_size) {
   return 1.0 / (1.0 + static_cast<double>(connection_size));
 }
 
-/// Bounded top-k buffer under the ranking order, replacing the old
-/// sort-on-every-insert.
-using TupleHeap =
-    BoundedTopN<ScoredTuple, bool (*)(const ScoredTuple&, const ScoredTuple&)>;
-
-}  // namespace
-
+/// The engine's ranking order: score descending, ties by document order of
+/// the first differing node — a total order over distinct tuples.
 bool TupleRankLess(const ScoredTuple& a, const ScoredTuple& b) {
   if (a.score != b.score) return a.score > b.score;
   for (size_t i = 0; i < a.nodes.size() && i < b.nodes.size(); ++i) {
@@ -37,28 +32,12 @@ bool TupleRankLess(const ScoredTuple& a, const ScoredTuple& b) {
   return false;
 }
 
-std::vector<ScoredTuple> MergeShardTopK(
-    std::vector<std::vector<ScoredTuple>> shards, size_t k) {
-  std::vector<ScoredTuple> merged;
-  size_t total = 0;
-  for (const std::vector<ScoredTuple>& shard : shards) total += shard.size();
-  merged.reserve(total);
-  for (std::vector<ScoredTuple>& shard : shards) {
-    for (ScoredTuple& tuple : shard) merged.push_back(std::move(tuple));
-  }
-  // TupleRankLess only ties for identical node tuples, which score
-  // identically: a mixed-document tuple that two shards both reached. An
-  // unstable sort cannot change the rendered bytes, and the repeats sit
-  // side by side.
-  std::sort(merged.begin(), merged.end(), TupleRankLess);
-  merged.erase(std::unique(merged.begin(), merged.end(),
-                           [](const ScoredTuple& a, const ScoredTuple& b) {
-                             return !TupleRankLess(a, b) && !TupleRankLess(b, a);
-                           }),
-               merged.end());
-  if (k > 0 && merged.size() > k) merged.resize(k);
-  return merged;
-}
+/// Bounded top-k buffer under the ranking order, replacing the old
+/// sort-on-every-insert.
+using TupleHeap =
+    BoundedTopN<ScoredTuple, bool (*)(const ScoredTuple&, const ScoredTuple&)>;
+
+}  // namespace
 
 std::string ScoredTuple::ToString(const store::DocumentStore& store) const {
   std::string out = "score=" + std::to_string(score) + " [";
@@ -87,12 +66,6 @@ Result<std::vector<ScoredTuple>> TopKSearcher::Search(
     const exec::CandidateSet& candidates, SearchStats* stats) const {
   if (query.terms.empty()) {
     return Status::InvalidArgument("empty query");
-  }
-  if (options.shard_count > 1 && options.shard_index >= options.shard_count) {
-    return Status::InvalidArgument(
-        "shard_index " + std::to_string(options.shard_index) +
-        " out of range for shard_count " +
-        std::to_string(options.shard_count));
   }
   const size_t m = query.terms.size();
 
@@ -187,15 +160,8 @@ Result<std::vector<ScoredTuple>> TopKSearcher::Search(
   }
 
   // Compute upper bounds and order documents by them (TA sorted access).
-  // Sharded serving mode: grouping and borrowing above ran over the full
-  // candidate set (so cross-document tuples are identical in every shard),
-  // but this scan only scores the documents this shard owns. Each DocId
-  // belongs to exactly one shard, so the shards partition the unsharded
-  // scan's enumerations and MergeShardTopK reassembles the exact ranking.
-  const bool sharded = options.shard_count > 1;
   std::vector<std::pair<double, store::DocId>> order;
   for (auto& [doc, group] : groups) {
-    if (sharded && doc % options.shard_count != options.shard_index) continue;
     bool complete = true;
     double bound = 0;
     for (size_t t = 0; t < m; ++t) {
@@ -381,12 +347,8 @@ Result<std::vector<ScoredTuple>> TopKSearcher::Search(
     // Per-tuple kernel counters, merged sequentially below in enumeration
     // order: the totals are identical at any worker count.
     kernel_stats.assign(batch.size(), graph::GraphStats{});
-    // Sharded scans are already fanned out one-per-worker by the caller
-    // (core::Snapshot::Search), and ThreadPool::ParallelFor must not nest —
-    // so a shard scores its batches inline.
     ThreadPool* pool =
-        !sharded && batch.size() >= options.parallel_batch_min ? pool_
-                                                               : nullptr;
+        batch.size() >= options.parallel_batch_min ? pool_ : nullptr;
     const auto score_start = options.trace != nullptr
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};

@@ -88,29 +88,12 @@ struct TopKOptions {
   /// least-promising enumerations first; trimmed counts land in
   /// SearchStats::tuples_trimmed. 0 = unlimited.
   size_t max_tuples_per_query = 10000;
-  /// Shard-by-DocId scatter-gather (the src/net/ serving mode). With
-  /// shard_count > 1 the TA scan scores only candidate documents whose DocId
-  /// lands in shard `shard_index` (doc % shard_count == shard_index), while
-  /// candidate grouping, cross-document borrowing and upper bounds are still
-  /// computed over the full candidate set — so the union of all shards'
-  /// enumerations is exactly the unsharded scan's enumeration, and merging
-  /// the per-shard top-k lists (MergeShardTopK) reproduces the unsharded
-  /// ranking byte for byte. Each shard's TA threshold stop is sound on its
-  /// own subsequence of the descending upper-bound order. Caveat: the
-  /// max_tuples_per_query budget and deadline_ms apply per shard, so exact
-  /// merge equivalence holds whenever neither fires (they trim in scan-order,
-  /// which sharding re-interleaves). Serving-mode knobs, like deadline_ms
-  /// deliberately NOT persisted in snapshot images. 0 or 1 = unsharded.
-  size_t shard_count = 0;
-  /// Which shard this scan serves; must be < shard_count when sharded.
-  size_t shard_index = 0;
   /// Per-request trace span (obs/trace.h): when non-null, the scan opens
   /// child spans (candidates / group_docs / ta_scan) under it and attaches
   /// its counters at close. Spans are touched only on the coordinating
-  /// thread — the RunParallel scoring fan-out reports through counters, and
-  /// the sharded serving mode clears this per shard (core::Snapshot::Search
-  /// owns the one sharded-scan span). Like deadline_ms this is a per-request
-  /// field, deliberately NOT persisted in snapshot images.
+  /// thread — the RunParallel scoring fan-out reports through counters. Like
+  /// deadline_ms this is a per-request field, deliberately NOT persisted in
+  /// snapshot images.
   obs::TraceSpan* trace = nullptr;
   /// Per-request wall-clock budget for the scan, in milliseconds (0 = none).
   /// Checked cooperatively once per candidate document: when it fires, the
@@ -122,23 +105,6 @@ struct TopKOptions {
   /// property, so it is deliberately NOT persisted in snapshot images.
   uint64_t deadline_ms = 0;
 };
-
-/// The engine's ranking order: score descending, ties by document order of
-/// the first differing node — a total order over distinct tuples. Exposed so
-/// the scatter-gather merger ranks exactly like the TA scan's bounded heap.
-bool TupleRankLess(const ScoredTuple& a, const ScoredTuple& b);
-
-/// Scatter-gather merge for the shard-by-DocId serving mode: concatenates
-/// the per-shard top-k lists (each already sorted by TupleRankLess), drops
-/// the repeats of a cross-document tuple that two shards both scored, and
-/// keeps the k best under the same order. Because every candidate document
-/// belongs to exactly one shard, the inputs partition the unsharded scan's
-/// heap insertions, and the TA bound guarantees each shard's local top-k
-/// contains every global winner scored in that shard — so the merged list is
-/// byte-identical to the unsharded ranking (see TopKOptions::shard_count for
-/// the budget caveat). k == 0 keeps everything.
-std::vector<ScoredTuple> MergeShardTopK(
-    std::vector<std::vector<ScoredTuple>> shards, size_t k);
 
 /// Top-k search unit (paper §4), rebuilt as a streaming engine: per-term
 /// candidate streams come from cursor trees composed directly over posting

@@ -97,8 +97,8 @@ core::Seda* SharedSeda() {
 constexpr const char* kSearchEnvelope =
     R"json({"method":"search","query":"(name, *) AND (*, china)","k":5})json";
 
-/// A generated Factbook (scale 0.05, default options) for the sharding
-/// equivalence check: enough documents that 3 top-k shards each hold some.
+/// A generated Factbook (scale 0.05, default options) for the wire
+/// equivalence check: cross-document trade tuples and value-edge hubs.
 core::Seda* FactbookSeda() {
   static core::Seda* seda = [] {
     auto* built = new core::Seda();
@@ -113,12 +113,10 @@ core::Seda* FactbookSeda() {
 
 struct TestServer {
   explicit TestServer(ServerOptions options = ServerOptions{},
-                      core::Seda* seda = SharedSeda(), size_t topk_shards = 1) {
+                      core::Seda* seda = SharedSeda()) {
     options.io_threads = 2;
     options.worker_threads = options.worker_threads ? options.worker_threads : 2;
-    api::ServiceOptions service_options;
-    service_options.topk_shards = topk_shards;
-    service = std::make_unique<api::SedaService>(seda, service_options);
+    service = std::make_unique<api::SedaService>(seda);
     server = std::make_unique<Server>(service.get(), options);
     start_status = server->Start();
   }
@@ -137,23 +135,18 @@ struct TestServer {
 };
 
 /// Search response bytes with the volatile timing field zeroed; everything
-/// else — ranking, summaries, engine counters — must match exactly. With
-/// `drop_stats` every stats field is cleared: a sharded scan stops each
-/// shard on its own threshold, so only its counters may differ.
-std::string CanonicalSearchBytes(const std::string& response_json,
-                                 bool drop_stats = false) {
+/// else — ranking, summaries, engine counters — must match exactly.
+std::string CanonicalSearchBytes(const std::string& response_json) {
   auto decoded = api::DecodeSearchResponseDto(response_json);
   EXPECT_TRUE(decoded.ok()) << response_json;
   api::SearchResponseDto response = std::move(decoded).value();
   response.stats.elapsed_ms = 0;
-  if (drop_stats) response.stats = api::StatsDto{};
   return Encode(response);
 }
 
 TEST(NetServerTest, ResponsesAreByteIdenticalToDirectHandle) {
-  // Each collection is served over TCP unsharded and scattered over 3 top-k
-  // shards; an unsharded in-process service over the same snapshot plays
-  // the direct caller.
+  // Each collection is served over TCP; an in-process service over the same
+  // snapshot plays the direct caller.
   struct Input {
     const char* name;
     core::Seda* seda;
@@ -173,18 +166,15 @@ TEST(NetServerTest, ResponsesAreByteIdenticalToDirectHandle) {
   for (const Input& input : inputs) {
     ASSERT_NE(input.seda, nullptr) << input.name;
     api::SedaService direct(input.seda);
-    for (size_t shards : {size_t{1}, size_t{3}}) {
-      TestServer fixture(ServerOptions{}, input.seda, shards);
-      ASSERT_TRUE(fixture.start_status.ok()) << fixture.start_status.ToString();
-      BlockingClient client = fixture.Connect();
-      for (const char* envelope : input.envelopes) {
-        SCOPED_TRACE(std::string(input.name) + " shards=" +
-                     std::to_string(shards) + " " + envelope);
-        auto over_wire = client.Call(envelope);
-        ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
-        EXPECT_EQ(CanonicalSearchBytes(over_wire.value(), shards > 1),
-                  CanonicalSearchBytes(direct.Handle(envelope), shards > 1));
-      }
+    TestServer fixture(ServerOptions{}, input.seda);
+    ASSERT_TRUE(fixture.start_status.ok()) << fixture.start_status.ToString();
+    BlockingClient client = fixture.Connect();
+    for (const char* envelope : input.envelopes) {
+      SCOPED_TRACE(std::string(input.name) + " " + envelope);
+      auto over_wire = client.Call(envelope);
+      ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+      EXPECT_EQ(CanonicalSearchBytes(over_wire.value()),
+                CanonicalSearchBytes(direct.Handle(envelope)));
     }
   }
 }
@@ -480,6 +470,23 @@ TEST(NetServerTest, GracefulShutdownDrainsInFlightRequests) {
   // And then a clean EOF, never a reset.
   auto eof = client.ReadFrame();
   EXPECT_FALSE(eof.ok());
+}
+
+TEST(NetServerTest, ThreadCountsAboveTheCeilingAreRejectedBeforeBinding) {
+  // The same ceiling SedaOptions' thread counts obey. The check runs before
+  // any socket or thread exists, so 1025 starts nothing.
+  api::SedaService service(SharedSeda());
+  for (bool io : {true, false}) {
+    SCOPED_TRACE(io ? "io_threads" : "worker_threads");
+    ServerOptions options;
+    (io ? options.io_threads : options.worker_threads) =
+        core::kMaxThreadCount + 1;
+    Server server(&service, options);
+    const Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+        << started.ToString();
+    EXPECT_EQ(server.port(), 0);
+  }
 }
 
 TEST(NetServerTest, StoppedServerRefusesNewConnectionsPolitely) {

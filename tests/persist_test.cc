@@ -261,6 +261,44 @@ TEST(PersistTest, ImagesAreByteStableAcrossSaves) {
   std::remove(path_b.c_str());
 }
 
+TEST(PersistTest, OpenServesTheIndexAndTheCsrFromTheMapping) {
+  // Open must borrow the posting arena and the CSR arrays where they lie in
+  // the mapping. A Load that rebuilt either would still answer identically
+  // (and the open gate's time budget no longer tells a rebuilt index apart),
+  // so this checks where the bytes live.
+  std::string path = TempImagePath("in_place");
+  {
+    Seda writer;
+    data::WorldFactbookGenerator::Options generator;
+    generator.scale = 0.05;
+    data::WorldFactbookGenerator(generator).Populate(writer.mutable_store());
+    ASSERT_TRUE(writer.Finalize(ScenarioOptions()).ok());
+    ASSERT_TRUE(writer.Save(path).ok());
+  }
+  auto image = persist::MappedImage::Open(path);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  auto snapshot = Snapshot::Load(image.value());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  auto lies_in = [&](const void* p, persist::SectionId id) {
+    auto section = image.value()->Section(id);
+    if (!section.ok()) return false;
+    const auto [begin, size] = section.value();
+    const auto* byte = static_cast<const uint8_t*>(p);
+    return byte >= begin && byte < begin + size;
+  };
+
+  const text::PostingList postings = (*snapshot)->index().Postings("united");
+  ASSERT_FALSE(postings.empty());
+  ASSERT_FALSE(postings.dewey(0).empty());
+  EXPECT_TRUE(
+      lies_in(postings.dewey(0).data(), persist::SectionId::kIndexTerms));
+
+  const graph::Csr* csr = (*snapshot)->data_graph().csr();
+  ASSERT_NE(csr, nullptr);
+  EXPECT_TRUE(lies_in(csr->RowBegin(0), persist::SectionId::kGraphCsr));
+  std::remove(path.c_str());
+}
+
 /// Files in TempDir() whose names start with `prefix`.
 std::vector<std::string> TempFilesStartingWith(const std::string& prefix) {
   std::vector<std::string> found;

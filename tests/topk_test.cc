@@ -251,25 +251,6 @@ TEST_F(MutualBorrowTest, CrossDocumentTupleIsReturnedOnce) {
   EXPECT_EQ(stats.tuples_scored, 1u);  // ...and it is scored once
 }
 
-TEST_F(MutualBorrowTest, ShardMergeDropsTheRepeat) {
-  // Each shard owns one of the two documents and scores the tuple once;
-  // the merge keeps one copy, as the unsharded scan does.
-  std::vector<std::vector<ScoredTuple>> shards;
-  for (size_t shard = 0; shard < 2; ++shard) {
-    TopKOptions options;
-    options.shard_count = 2;
-    options.shard_index = shard;
-    auto result = searcher_->Search(query_, options);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result.value().size(), 1u);
-    shards.push_back(std::move(result).value());
-  }
-  auto unsharded = searcher_->Search(query_, TopKOptions{});
-  ASSERT_TRUE(unsharded.ok());
-  EXPECT_EQ(Fingerprint(MergeShardTopK(std::move(shards), 10)),
-            Fingerprint(unsharded.value()));
-}
-
 // Hand-built corpus where the TA bound order disagrees with the final score
 // order, so the bounded heap must evict; and where two tuples tie exactly,
 // so the document-order tie-break is observable.

@@ -12,7 +12,6 @@
 //   --host ADDR         bind address            (default 127.0.0.1)
 //   --port N            TCP port; 0 = ephemeral (default 7474)
 //   --port-file PATH    write the bound port, for scripts using --port 0
-//   --shards N          shard-by-DocId scatter-gather top-k    (default 1)
 //   --io-threads N      epoll reactor threads                  (default 2)
 //   --workers N         request execution threads  (default: hw threads)
 //   --queue N           bounded work queue capacity            (default 256)
@@ -70,7 +69,6 @@ int main(int argc, char** argv) {
   options.io_threads = 2;
   options.idle_timeout_ms = 60 * 1000;
   options.admission.max_inflight_per_connection = 64;
-  size_t shards = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
     else if (flag == "--host") options.host = next();
     else if (flag == "--port") options.port = static_cast<uint16_t>(UintFlag(next(), "--port"));
     else if (flag == "--port-file") port_file = next();
-    else if (flag == "--shards") shards = UintFlag(next(), "--shards");
     else if (flag == "--io-threads") options.io_threads = UintFlag(next(), "--io-threads");
     else if (flag == "--workers") options.worker_threads = UintFlag(next(), "--workers");
     else if (flag == "--queue") options.queue_capacity = UintFlag(next(), "--queue");
@@ -130,7 +127,6 @@ int main(int argc, char** argv) {
   }
 
   seda::api::ServiceOptions service_options;
-  service_options.topk_shards = shards;
   service_options.slowlog.default_threshold_ms = slow_ms;
   service_options.trace_sample_every_n = trace_sample;
   seda::api::SedaService service(&seda, service_options);
@@ -162,8 +158,8 @@ int main(int argc, char** argv) {
                  options.host.c_str(), server.metrics_port());
   }
   // Scripts (CI smoke, bench) wait for this exact line.
-  std::fprintf(stderr, "listening on %s:%u (shards=%zu)\n",
-               options.host.c_str(), server.port(), shards);
+  std::fprintf(stderr, "listening on %s:%u\n", options.host.c_str(),
+               server.port());
   std::fflush(stderr);
 
   std::signal(SIGINT, HandleSignal);
